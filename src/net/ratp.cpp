@@ -263,12 +263,17 @@ void RatpEndpoint::onReplyFrag(sim::Process& self, std::uint64_t txid, std::uint
   tx.frags[index] = std::move(data);
   if (++tx.received < tx.frags.size()) return;
   nic_.cpu().compute(self, cost().ratp_reassembly);
-  for (auto& f : tx.frags) {
-    tx.reply.insert(tx.reply.end(), f->begin(), f->end());
+  // The compute blocks: if the waiter's final deadline fired meanwhile, its
+  // transact() has returned and erased the entry, so look it up again.
+  it = pending_.find(txid);
+  if (it == pending_.end()) return;
+  PendingTx& done = it->second;
+  for (auto& f : done.frags) {
+    done.reply.insert(done.reply.end(), f->begin(), f->end());
     f->clear();
   }
-  tx.complete = true;
-  tx.waiter->wake();
+  done.complete = true;
+  done.waiter->wake();
 }
 
 }  // namespace clouds::net

@@ -161,5 +161,59 @@ TEST(RatpChaos, UnreachableNodeSpendsExactRetryBudget) {
   EXPECT_EQ(m.counterValue("net/eth/frames_dropped"), ether.framesDropped());
 }
 
+// One two-fragment echo with no retries and the given timeout. Reports the
+// outcome, the caller's latency and the client CPU's busy time.
+struct DeadlineRun {
+  Errc code = Errc::ok;
+  sim::Duration latency = sim::kZero;
+  std::uint64_t client_busy_usec = 0;
+};
+
+DeadlineRun runAgainstDeadline(sim::Duration timeout) {
+  sim::Simulation sim(7);
+  sim::CostModel cost;
+  Ethernet ether(sim, cost);
+  sim::CpuResource ca(cost.context_switch), cb(cost.context_switch);
+  ca.attachMetrics(sim.metrics(), "client");
+  Nic& na = ether.attach(1, ca, "client");
+  Nic& nb = ether.attach(2, cb, "server");
+  RatpEndpoint client(na, "client");
+  RatpEndpoint server(nb, "server");
+  server.bindService(kPortEcho,
+                     [](sim::Process&, NodeId, const Bytes& req) { return req; });
+  DeadlineRun out;
+  sim.spawn("caller", [&](sim::Process& self) {
+    RatpOptions opts;
+    opts.timeout = timeout;
+    opts.max_retries = 0;
+    const sim::TimePoint t0 = sim.now();
+    auto r = client.transact(self, 2, kPortEcho, Bytes(2000), opts);
+    out.code = r.ok() ? Errc::ok : r.code();
+    out.latency = sim.now() - t0;
+  });
+  sim.run();
+  out.client_busy_usec = sim.metrics().counterValue("client/cpu/busy_usec");
+  return out;
+}
+
+TEST(RatpChaos, ReplyReassemblyStraddlingTheFinalDeadline) {
+  // The client's last reply fragment arrives, and its reassembly is charged
+  // to the client CPU. If the waiter's final deadline fires during that
+  // charge, transact() returns timeout and erases its pending entry; the
+  // receive path must then drop the reply instead of writing into the freed
+  // entry (a heap-use-after-free under ASan before the fix). Sweep the
+  // timeout across the completion time so some runs land in that window:
+  // they time out yet spend exactly the CPU of a completed run.
+  const DeadlineRun probe = runAgainstDeadline(sim::sec(1));
+  ASSERT_EQ(probe.code, Errc::ok);
+  int straddled = 0;
+  for (sim::Duration t = probe.latency - sim::msec(4); t <= probe.latency; t += sim::usec(20)) {
+    const DeadlineRun r = runAgainstDeadline(t);
+    ASSERT_TRUE(r.code == Errc::ok || r.code == Errc::timeout) << "timeout " << t.count();
+    if (r.code == Errc::timeout && r.client_busy_usec == probe.client_busy_usec) ++straddled;
+  }
+  EXPECT_GT(straddled, 0);
+}
+
 }  // namespace
 }  // namespace clouds::net
