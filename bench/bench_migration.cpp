@@ -138,10 +138,9 @@ Outcome runScenario(bool migration_on) {
   }
   out.p50 = percentile(latencies, 0.50);
   out.p95 = percentile(latencies, 0.95);
-  for (int i = 0; i < cluster.computeCount(); ++i) {
-    out.remote_fetches += cluster.dsmClient(i).remoteFetches();
-  }
-  out.migrations = cluster.stats().migrations_committed;
+  const sim::MetricsRegistry& metrics = cluster.sim().metrics();
+  out.remote_fetches = metrics.sumCounters("dsm/remote_fetches");
+  out.migrations = metrics.sumCounters("migrate/committed");
   static bool emitted_metrics = false;
   if (!emitted_metrics && migration_on) {
     emitted_metrics = true;

@@ -104,7 +104,7 @@ Outcome runScenario(sched::PolicyKind policy, bool skewed, bool crash) {
   }
   out.p50 = percentile(latencies, 0.50);
   out.p95 = percentile(latencies, 0.95);
-  out.fallbacks = cluster.stats().sched_fallbacks;
+  out.fallbacks = cluster.sim().metrics().sumCounters("sched/fallbacks");
   static bool emitted_metrics = false;
   if (!emitted_metrics) {
     emitted_metrics = true;

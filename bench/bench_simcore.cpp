@@ -1,4 +1,4 @@
-// E10: simulation-core event throughput, threads vs fibers engines.
+// E10: simulation-core event throughput of the fiber engine.
 //
 // Unlike the other benches (which report *simulated* milliseconds), this
 // one measures the engine itself: real wall-clock events/sec of the
@@ -6,9 +6,8 @@
 // ping-pong wake chains (every event is a process switch), timer storms
 // (blockFor timers expiring under churn), and a 10k-process fan-out
 // (spawn/teardown cost). The "items" rate google-benchmark prints is
-// executed simulation events per second; EXPERIMENTS.md §E10 records the
-// threads-vs-fibers ratio (the acceptance bar for the fiber engine was
-// >=10x on the switch-bound chains).
+// executed simulation events per second; EXPERIMENTS.md §E10 records it
+// against the thread-per-process engine the fibers replaced.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -20,22 +19,13 @@
 namespace clouds {
 namespace {
 
-using sim::Engine;
 using sim::Process;
-using sim::SimConfig;
 using sim::Simulation;
 
-SimConfig engineConfig(std::int64_t arg) {
-  return SimConfig{.seed = 42, .engine = arg == 0 ? Engine::threads : Engine::fibers};
-}
-
-// Label the row with the engine and emit the universe's metrics snapshot
-// (first iteration only — every iteration builds an identical universe).
-void finishRun(benchmark::State& state, const char* bench, Simulation& sim) {
-  state.SetLabel(engineName(sim.config().engine));
-  const std::string tag = std::string(bench) + "_" + engineName(sim.config().engine);
-  bench::emitMetrics(tag.c_str(), sim);
-}
+// Each benchmark emits its universe's metrics snapshot on the first
+// iteration only (every iteration builds an identical universe). The
+// "_fibers" tags keep the lines comparable with runs from when a second
+// engine existed.
 
 // Two processes alternately wake each other through semaphores: every
 // single event resumes a process, so this is the pure context-switch path.
@@ -44,7 +34,7 @@ void BM_SimCore_PingPongWakeChain(benchmark::State& state) {
   std::size_t total_events = 0;
   bool emitted = false;
   for (auto _ : state) {
-    Simulation sim(engineConfig(state.range(0)));
+    Simulation sim(42);
     sim::SimSemaphore ping(0);
     sim::SimSemaphore pong(0);
     sim.spawn("a", [&](Process& self) {
@@ -61,7 +51,7 @@ void BM_SimCore_PingPongWakeChain(benchmark::State& state) {
     });
     const std::size_t events = sim.run();
     total_events += events;
-    if (!emitted) { finishRun(state, "pingpong", sim); emitted = true; }
+    if (!emitted) { bench::emitMetrics("pingpong_fibers", sim); emitted = true; }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(total_events));
 }
@@ -74,7 +64,7 @@ void BM_SimCore_TimerStorm(benchmark::State& state) {
   std::size_t total_events = 0;
   bool emitted = false;
   for (auto _ : state) {
-    Simulation sim(engineConfig(state.range(0)));
+    Simulation sim(42);
     for (int p = 0; p < kProcesses; ++p) {
       sim.spawn("t" + std::to_string(p), [&, p](Process& self) {
         for (int i = 0; i < kTimersEach; ++i) {
@@ -85,19 +75,19 @@ void BM_SimCore_TimerStorm(benchmark::State& state) {
     }
     const std::size_t events = sim.run();
     total_events += events;
-    if (!emitted) { finishRun(state, "timerstorm", sim); emitted = true; }
+    if (!emitted) { bench::emitMetrics("timerstorm_fibers", sim); emitted = true; }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(total_events));
 }
 
 // Spawn 10k short-lived processes: measures per-process setup/teardown
-// (thread create+join vs lazy fiber stack mmap) plus two delays each.
+// (lazy fiber stack mmap and release) plus two delays each.
 void BM_SimCore_FanOut10k(benchmark::State& state) {
   constexpr int kProcesses = 10000;
   std::size_t total_events = 0;
   bool emitted = false;
   for (auto _ : state) {
-    Simulation sim(engineConfig(state.range(0)));
+    Simulation sim(42);
     for (int p = 0; p < kProcesses; ++p) {
       sim.spawn("w" + std::to_string(p), [](Process& self) {
         self.delay(sim::usec(1));
@@ -106,14 +96,14 @@ void BM_SimCore_FanOut10k(benchmark::State& state) {
     }
     const std::size_t events = sim.run();
     total_events += events;
-    if (!emitted) { finishRun(state, "fanout10k", sim); emitted = true; }
+    if (!emitted) { bench::emitMetrics("fanout10k_fibers", sim); emitted = true; }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(total_events));
 }
 
-BENCHMARK(BM_SimCore_PingPongWakeChain)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimCore_TimerStorm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimCore_FanOut10k)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimCore_PingPongWakeChain)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimCore_TimerStorm)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimCore_FanOut10k)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace clouds

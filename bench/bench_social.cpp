@@ -252,7 +252,7 @@ void BM_E12_Migration(benchmark::State& state) {
     bench::report(state, out.sim_ms, 0);
     attachQuantiles(state, out);
     state.counters["migrations"] =
-        static_cast<double>(out.cluster->stats().migrations_committed);
+        static_cast<double>(out.cluster->sim().metrics().sumCounters("migrate/committed"));
   }
 }
 BENCHMARK(BM_E12_Migration)

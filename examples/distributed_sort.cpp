@@ -76,10 +76,12 @@ double sortOnce(int n_workers, std::int64_t keys) {
     return -1;
   }
 
-  const auto stats = cluster.stats();
+  const sim::MetricsRegistry& metrics = cluster.sim().metrics();
+  const std::uint64_t faults =
+      metrics.sumCounters("dsm/read_faults") + metrics.sumCounters("dsm/write_faults");
   std::printf("  %d worker(s): %10.1f ms   (faults %llu, wire %.1f MB)\n", n_workers,
-              elapsed_ms, static_cast<unsigned long long>(stats.page_faults),
-              static_cast<double>(stats.bytes_on_wire) / 1e6);
+              elapsed_ms, static_cast<unsigned long long>(faults),
+              static_cast<double>(metrics.counterValue("net/eth/bytes_on_wire")) / 1e6);
   return elapsed_ms;
 }
 

@@ -56,6 +56,7 @@ int main() {
 
   std::printf("simulated time: %.3f ms, frames on the wire: %llu\n",
               sim::toMillis(cluster.sim().now()),
-              static_cast<unsigned long long>(cluster.ether().framesOnWire()));
+              static_cast<unsigned long long>(
+                  cluster.sim().metrics().counterValue("net/eth/frames_on_wire")));
   return area.value() == obj::Value{50} && area2.value() == obj::Value{50} ? 0 : 1;
 }

@@ -28,6 +28,9 @@ int main() {
       ++shown;
     }
   }
-  std::printf("%d suspicious trace entries; stats: %s\n", shown, c.stats().toString().c_str());
+  const sim::MetricsRegistry& m = c.sim().metrics();
+  std::printf("%d suspicious trace entries; retransmits=%llu frames=%llu\n", shown,
+              static_cast<unsigned long long>(m.sumCounters("ratp/retransmits")),
+              static_cast<unsigned long long>(m.counterValue("net/eth/frames_on_wire")));
   return 0;
 }

@@ -1,6 +1,5 @@
 #include "clouds/cluster.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "sim/fault.hpp"
@@ -129,7 +128,7 @@ net::NodeId Cluster::dataHomeOf(net::NodeId compute) const {
 
 Cluster::Cluster(ClusterConfig config)
     : config_(config),
-      sim_(sim::SimConfig{.seed = config.seed, .engine = config.engine}),
+      sim_(config.seed),
       ether_(sim_, config_.cost) {
   if (config_.compute_servers + config_.combined_servers < 1 ||
       config_.data_servers + config_.combined_servers < 1) {
@@ -306,92 +305,6 @@ Result<void> Cluster::loadFrom(const std::string& directory) {
     CLOUDS_TRY(data_view_[i].store->loadFrom(directory + "/data" + std::to_string(i) + ".img"));
   }
   return name_server_->loadFrom(directory + "/names.img");
-}
-
-Cluster::Stats Cluster::stats() const {
-  Stats s;
-  for (const auto& cv : compute_view_) {
-    s.invocations += cv.runtime->stats().invocations;
-    s.remote_invocations += cv.runtime->stats().remote_invocations_served;
-    s.activations += cv.runtime->stats().activations;
-    s.tx_retries += cv.runtime->stats().tx_retries;
-    s.page_faults += cv.dsm->faultCount();
-    s.retransmissions += cv.node->ratp().stats().retransmissions;
-    s.migrations_started += cv.migrator->stats().started;
-    s.migrations_committed += cv.migrator->stats().committed;
-    s.migrations_aborted += cv.migrator->stats().aborted;
-    s.forward_chases += cv.runtime->stats().forward_chases;
-  }
-  for (const auto& dv : data_view_) {
-    s.invalidations += dv.server->invalidationsSent() + dv.server->degradesSent();
-    s.disk_reads += dv.store->diskReads();
-    s.disk_writes += dv.store->diskWrites();
-    s.cache_hits += dv.store->cacheHits();
-    s.cache_misses += dv.store->cacheMisses();
-    s.cache_evictions += dv.store->cacheEvictions();
-    s.wal_forces += dv.store->walForces();
-    s.wal_records += dv.store->walRecordCount();
-    s.wal_checkpoints += dv.store->walCheckpoints();
-    s.wal_pages_written_back += dv.store->walPagesWrittenBack();
-    s.retransmissions += dv.node->ratp().stats().retransmissions;
-  }
-  for (const auto& m : machines_) {
-    if (m.sched == nullptr) continue;
-    s.sched_reports_sent += m.sched->gossip().reportsSent();
-    s.sched_reports_received += m.sched->gossip().reportsReceived();
-    s.sched_placements += m.sched->scheduler().placements();
-    s.sched_stale_evictions += m.sched->table().staleEvictions();
-    s.sched_fallbacks += m.sched->scheduler().fallbacks();
-  }
-  for (const auto& wn : workstations_) {
-    s.sched_reports_received += wn.agent->gossip().reportsReceived();
-    s.sched_placements += wn.agent->scheduler().placements();
-    s.sched_stale_evictions += wn.agent->table().staleEvictions();
-    s.sched_fallbacks += wn.agent->scheduler().fallbacks();
-  }
-  s.frames_on_wire = ether_.framesOnWire();
-  s.bytes_on_wire = ether_.bytesOnWire();
-  return s;
-}
-
-std::string Cluster::Stats::toString() const {
-  char buf[832];
-  std::snprintf(buf, sizeof(buf),
-                "invocations=%llu (remote %llu) activations=%llu tx_retries=%llu "
-                "faults=%llu coherence_callbacks=%llu frames=%llu bytes=%llu "
-                "retransmits=%llu disk_r/w=%llu/%llu "
-                "store[hits=%llu misses=%llu evict=%llu] "
-                "wal[forces=%llu records=%llu ckpts=%llu wb_pages=%llu] "
-                "sched[sent=%llu recv=%llu placed=%llu stale_evict=%llu fallback=%llu] "
-                "migrate[started=%llu committed=%llu aborted=%llu chases=%llu]",
-                static_cast<unsigned long long>(invocations),
-                static_cast<unsigned long long>(remote_invocations),
-                static_cast<unsigned long long>(activations),
-                static_cast<unsigned long long>(tx_retries),
-                static_cast<unsigned long long>(page_faults),
-                static_cast<unsigned long long>(invalidations),
-                static_cast<unsigned long long>(frames_on_wire),
-                static_cast<unsigned long long>(bytes_on_wire),
-                static_cast<unsigned long long>(retransmissions),
-                static_cast<unsigned long long>(disk_reads),
-                static_cast<unsigned long long>(disk_writes),
-                static_cast<unsigned long long>(cache_hits),
-                static_cast<unsigned long long>(cache_misses),
-                static_cast<unsigned long long>(cache_evictions),
-                static_cast<unsigned long long>(wal_forces),
-                static_cast<unsigned long long>(wal_records),
-                static_cast<unsigned long long>(wal_checkpoints),
-                static_cast<unsigned long long>(wal_pages_written_back),
-                static_cast<unsigned long long>(sched_reports_sent),
-                static_cast<unsigned long long>(sched_reports_received),
-                static_cast<unsigned long long>(sched_placements),
-                static_cast<unsigned long long>(sched_stale_evictions),
-                static_cast<unsigned long long>(sched_fallbacks),
-                static_cast<unsigned long long>(migrations_started),
-                static_cast<unsigned long long>(migrations_committed),
-                static_cast<unsigned long long>(migrations_aborted),
-                static_cast<unsigned long long>(forward_chases));
-  return buf;
 }
 
 void Cluster::notifyClientCrash(net::NodeId client) {

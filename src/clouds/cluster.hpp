@@ -39,11 +39,6 @@ struct ClusterConfig {
   int combined_servers = 0;  // compute + data on one machine
   int workstations = 1;
   std::uint64_t seed = 42;
-  // Context-switch engine for the simulation core (docs/SIMCORE.md). The
-  // fiber default is >=10x faster; `threads` is the reference engine kept
-  // so tests can prove the universes are byte-identical
-  // (tests/sim_engine_equivalence_test.cpp).
-  sim::Engine engine = sim::Engine::fibers;
   sim::CostModel cost;
   std::size_t frame_capacity = 2048;   // DSM frames per compute server
   std::size_t store_cache_pages = 256; // buffer cache per data server
@@ -170,42 +165,6 @@ class Cluster {
   // registered classes resumes from it.
   Result<void> saveTo(const std::string& directory);
   Result<void> loadFrom(const std::string& directory);
-
-  // ---- Observability ----
-  struct Stats {
-    std::uint64_t invocations = 0;
-    std::uint64_t remote_invocations = 0;
-    std::uint64_t activations = 0;
-    std::uint64_t tx_retries = 0;
-    std::uint64_t page_faults = 0;       // served by compute-side partitions
-    std::uint64_t frames_on_wire = 0;
-    std::uint64_t bytes_on_wire = 0;
-    std::uint64_t retransmissions = 0;
-    std::uint64_t invalidations = 0;     // DSM coherence callbacks sent
-    std::uint64_t disk_reads = 0;
-    std::uint64_t disk_writes = 0;
-    // Storage (store/) counters, aggregated over every data server.
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    std::uint64_t cache_evictions = 0;
-    std::uint64_t wal_forces = 0;
-    std::uint64_t wal_records = 0;
-    std::uint64_t wal_checkpoints = 0;
-    std::uint64_t wal_pages_written_back = 0;
-    // Scheduler (sched/) counters, aggregated over every agent.
-    std::uint64_t sched_reports_sent = 0;
-    std::uint64_t sched_reports_received = 0;
-    std::uint64_t sched_placements = 0;
-    std::uint64_t sched_stale_evictions = 0;
-    std::uint64_t sched_fallbacks = 0;
-    // Migration (migrate/) counters, aggregated over every compute server.
-    std::uint64_t migrations_started = 0;
-    std::uint64_t migrations_committed = 0;
-    std::uint64_t migrations_aborted = 0;
-    std::uint64_t forward_chases = 0;
-    std::string toString() const;
-  };
-  Stats stats() const;
 
   // ---- Failure injection (paper §5.2) ----
   // Crashing a compute role notifies the surviving data servers so they

@@ -64,7 +64,6 @@ Result<void> TxnRuntime::close(sim::Process& self, TxScope& scope, bool aborted)
   const auto r = scope.label == obj::OpLabel::gcp ? commitGlobal(self, scope)
                                                   : commitLocal(self, scope);
   if (r.ok()) {
-    ++commits_;
     ++*m_commits_;
     m_commit_latency_->observe(node_.simulation().now() - commit_start);
   }
@@ -166,7 +165,6 @@ Result<void> TxnRuntime::commitLocal(sim::Process& self, TxScope& scope) {
 
 void TxnRuntime::rollback(sim::Process& self, TxScope& scope,
                           const std::set<net::NodeId>& prepared_servers) {
-  ++aborts_;
   ++*m_aborts_;
   // Discard dirty frames so nobody (including this node) sees the aborted
   // writes; the store still holds the pre-transaction images.

@@ -71,9 +71,6 @@ class TxnRuntime {
   // Returns Errc::aborted when commit could not complete.
   Result<void> close(sim::Process& self, TxScope& scope, bool aborted);
 
-  std::uint64_t commitsCompleted() const noexcept { return commits_; }
-  std::uint64_t abortsCompleted() const noexcept { return aborts_; }
-
  private:
   std::map<net::NodeId, std::vector<store::PageUpdate>> collectUpdates(const TxScope& scope);
   Result<void> commitGlobal(sim::Process& self, TxScope& scope);
@@ -91,8 +88,6 @@ class TxnRuntime {
   dsm::DsmClientPartition& dsm_;
   dsm::SyncClient& sync_;
   std::uint32_t next_tx_ = 1;
-  std::uint64_t commits_ = 0;
-  std::uint64_t aborts_ = 0;
   // Registry handles ("<node>/txn/..."), resolved at construction.
   std::uint64_t* m_commits_;
   std::uint64_t* m_aborts_;

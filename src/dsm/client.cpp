@@ -82,7 +82,6 @@ Result<ra::PageHandle> DsmClientPartition::resolvePage(sim::Process& self,
     const bool satisfied =
         f.state == FState::exclusive || (access == ra::Access::read && f.state == FState::shared);
     if (satisfied) {
-      ++hits_;
       ++*m_hits_;
       f.lru = ++lru_clock_;
       if (access == ra::Access::write) f.dirty = true;
@@ -110,7 +109,6 @@ Result<ra::PageHandle> DsmClientPartition::resolvePage(sim::Process& self,
 
 Result<bool> DsmClientPartition::fault(sim::Process& self, const ra::PageKey& key,
                                        ra::Access access) {
-  ++faults_;
   ++*(access == ra::Access::write ? m_write_faults_ : m_read_faults_);
   const sim::TimePoint fault_start = node_.simulation().now();
   node_.cpu().compute(self, node_.cost().fault_trap);
@@ -147,7 +145,6 @@ Result<PageGrant> DsmClientPartition::requestPage(sim::Process& self, const ra::
     return access == ra::Access::read ? local_server_->handleRead(self, node_.id(), key)
                                       : local_server_->handleWrite(self, node_.id(), key);
   }
-  ++remote_fetches_;
   ++*m_remote_fetches_;
   Encoder e;
   e.u8(static_cast<std::uint8_t>(access == ra::Access::read ? Op::read_page : Op::write_page));

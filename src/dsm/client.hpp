@@ -41,7 +41,6 @@ class DsmClientPartition : public ra::Partition {
   // Write back every dirty frame on this node (shutdown / sync path).
   Result<void> flushAll(sim::Process& self);
   void dropSegment(const Sysname& segment) override;
-  std::uint64_t faultCount() const override { return faults_; }
 
   // ---- Segment management (routed to the named data server) ----
   Result<Sysname> createSegment(sim::Process& self, net::NodeId home, std::uint64_t length,
@@ -84,11 +83,6 @@ class DsmClientPartition : public ra::Partition {
   // the number of frames dropped.
   std::size_t purgeHomedOn(net::NodeId home);
 
-  std::uint64_t hitCount() const noexcept { return hits_; }
-  // Page requests that actually crossed the wire to a remote data server
-  // (local-home short-circuits and cache hits excluded) — the locality
-  // signal object migration exists to improve.
-  std::uint64_t remoteFetches() const noexcept { return remote_fetches_; }
   std::size_t residentFrames() const noexcept { return frames_.size(); }
   std::size_t frameCapacity() const noexcept { return capacity_; }
 
@@ -132,9 +126,6 @@ class DsmClientPartition : public ra::Partition {
   std::map<ra::PageKey, Inflight> inflight_;
   std::map<Sysname, int> pinned_;  // open-scope write pins (refcounted)
   std::uint64_t lru_clock_ = 0;
-  std::uint64_t faults_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t remote_fetches_ = 0;
   // Registry handles ("<node>/dsm/..."), resolved at construction.
   std::uint64_t* m_read_faults_;
   std::uint64_t* m_write_faults_;
@@ -143,6 +134,9 @@ class DsmClientPartition : public ra::Partition {
   std::uint64_t* m_evictions_;
   std::uint64_t* m_invalidated_;
   std::uint64_t* m_degraded_;
+  // Page requests that actually crossed the wire to a remote data server
+  // (local-home short-circuits and cache hits excluded) — the locality
+  // signal object migration exists to improve.
   std::uint64_t* m_remote_fetches_;
   std::uint64_t* m_home_crash_purges_;
   sim::Histogram* m_fault_latency_;

@@ -131,7 +131,6 @@ void DsmServer::onClientCrash(net::NodeId client) {
 
 Result<Bytes> DsmServer::callback(sim::Process& self, net::NodeId holder, Op op,
                                   const ra::PageKey& key, std::uint64_t version) {
-  (op == Op::invalidate ? invalidations_ : degrades_)++;
   ++*(op == Op::invalidate ? m_invalidations_ : m_degrades_);
   if (holder == node_.id() && local_client_ != nullptr) {
     node_.cpu().compute(self, node_.cost().syscall);

@@ -32,14 +32,6 @@
 
 namespace clouds::migrate {
 
-struct MigratorStats {
-  std::uint64_t started = 0;
-  std::uint64_t committed = 0;
-  std::uint64_t aborted = 0;
-  std::uint64_t in_doubt = 0;            // decision undeliverable, source dark
-  std::uint64_t forwards_installed = 0;  // NameServer forwarding entries
-};
-
 class Migrator {
  public:
   struct Options {
@@ -117,7 +109,6 @@ class Migrator {
 
   State state() const noexcept { return fsm_.state(); }
   std::uint64_t generation() const noexcept { return fsm_.generation(); }
-  const MigratorStats& stats() const noexcept { return stats_; }
   const Options& options() const noexcept { return options_; }
 
   // Deterministic protocol transcript, one line per event (state changes,
@@ -150,7 +141,6 @@ class Migrator {
   Options options_;
   Hooks hooks_;
   MigrationFsm fsm_;
-  MigratorStats stats_;
   std::vector<std::string> events_;
   std::function<void(State)> state_hook_;
   sim::Process* loop_ = nullptr;

@@ -66,7 +66,6 @@ Result<Bytes> RatpEndpoint::transact(sim::Process& self, NodeId dst, PortId port
   const std::uint64_t txid = (static_cast<std::uint64_t>(nic_.address()) << 32) | next_seq_++;
   PendingTx& tx = pending_[txid];
   tx.waiter = &self;
-  ++stats_.transactions_started;
   ++*m_started_;
   const sim::TimePoint started_at = simulation().now();
 
@@ -80,7 +79,6 @@ Result<Bytes> RatpEndpoint::transact(sim::Process& self, NodeId dst, PortId port
 
   for (int attempt = 0; attempt <= retries && !tx.aborted; ++attempt) {
     if (attempt > 0) {
-      ++stats_.retransmissions;
       ++*m_retransmits_;
       simulation().trace(name_, "ratp", "retransmit tx " + std::to_string(txid & 0xffffffff) +
                                             " attempt " + std::to_string(attempt));
@@ -91,26 +89,21 @@ Result<Bytes> RatpEndpoint::transact(sim::Process& self, NodeId dst, PortId port
       (void)self.blockFor(deadline - simulation().now());
     }
     if (tx.complete) {
-      ++stats_.transactions_completed;
       ++*m_completed_;
       m_latency_->observe(simulation().now() - started_at);
       return std::move(tx.reply);
     }
   }
   if (tx.aborted) {
-    ++stats_.transactions_aborted;
     ++*m_aborted_;
     return makeError(Errc::aborted, name_ + ": transaction to node " + std::to_string(dst) +
                                         " port " + std::to_string(port) + " aborted");
   }
   // Full retry budget spent with no reply: declare the peer dead so upper
   // layers (2PC, DSM, PET) can start recovery instead of waiting forever.
-  ++stats_.peer_deaths;
   ++*m_peer_deaths_;
   simulation().trace(name_, "ratp", "peer " + std::to_string(dst) + " declared dead (tx " +
                                         std::to_string(txid & 0xffffffff) + ")");
-  if (peer_death_) peer_death_(dst, port);
-  ++stats_.transactions_timed_out;
   ++*m_timeouts_;
   return makeError(Errc::timeout, name_ + ": transaction to node " + std::to_string(dst) +
                                       " port " + std::to_string(port) + " timed out");
@@ -138,7 +131,6 @@ void RatpEndpoint::sendMessage(sim::Process& self, NodeId dst, PacketType type,
     frame.protocol = kProtoRatp;
     frame.payload = std::move(e).take();
     nic_.send(self, std::move(frame));
-    ++stats_.fragments_sent;
     ++*m_frags_;
   }
 }
@@ -187,7 +179,6 @@ void RatpEndpoint::onRequestFrag(sim::Process& self, NodeId src, std::uint64_t t
     // Duplicate of a completed transaction: answer from the reply cache,
     // once per full retransmitted request (on its final fragment).
     if (index + 1 == count) {
-      ++stats_.duplicate_requests_served;
       ++*m_cache_hits_;
       sendMessage(self, src, PacketType::reply, txid, port, st.reply);
     }

@@ -52,17 +52,6 @@ struct RatpOptions {
   int max_retries = -1;                // <0 = use cost model default
 };
 
-struct RatpStats {
-  std::uint64_t transactions_started = 0;
-  std::uint64_t transactions_completed = 0;
-  std::uint64_t transactions_timed_out = 0;
-  std::uint64_t transactions_aborted = 0;  // via abortPending / endpoint crash
-  std::uint64_t retransmissions = 0;
-  std::uint64_t duplicate_requests_served = 0;
-  std::uint64_t fragments_sent = 0;
-  std::uint64_t peer_deaths = 0;  // retry budgets exhausted (peer declared dead)
-};
-
 class RatpEndpoint {
  public:
   // A handler receives the reassembled request and returns the reply bytes.
@@ -73,21 +62,15 @@ class RatpEndpoint {
   // Execute a message transaction: send `request` to (dst, port) and wait
   // for the reply. Blocking; must be called from process context. Fails
   // with Errc::timeout once the retry budget is exhausted (dead or
-  // partitioned destination, or unbound remote port) — peer-death detection:
-  // the endpoint counts the exhaustion and notifies onPeerDeath. Fails with
-  // Errc::aborted if the transaction is torn down mid-wait (abortPending or
-  // endpoint crash), so callers never hang on a transaction that cannot
-  // finish.
+  // partitioned destination, or unbound remote port): the endpoint declares
+  // the peer dead, counting "<name>/ratp/peer_deaths" and tracing it, and
+  // the caller starts its own recovery. Fails with Errc::aborted if the
+  // transaction is torn down mid-wait (abortPending or endpoint crash), so
+  // callers never hang on a transaction that cannot finish.
   Result<Bytes> transact(sim::Process& self, NodeId dst, PortId port, Bytes request,
                          RatpOptions options = {});
 
   void bindService(PortId port, Handler handler);
-
-  // Called when a transact() exhausts its full retry budget: the transport's
-  // best evidence that the peer is dead or unreachable. Runs in the waiter's
-  // process context, before transact returns its timeout.
-  using PeerDeathHandler = std::function<void(NodeId dst, PortId port)>;
-  void onPeerDeath(PeerDeathHandler handler) { peer_death_ = std::move(handler); }
 
   // Abort every in-flight client transaction: waiters wake and transact
   // returns Errc::aborted. Safe outside process context.
@@ -100,7 +83,6 @@ class RatpEndpoint {
   void onCrash();
 
   NodeId address() const noexcept { return nic_.address(); }
-  const RatpStats& stats() const noexcept { return stats_; }
   Nic& nic() noexcept { return nic_; }
 
  private:
@@ -154,9 +136,7 @@ class RatpEndpoint {
   std::vector<sim::Process*> idle_workers_;
   std::vector<sim::Process*> worker_procs_;  // all workers ever spawned (for crash kill)
   int worker_count_ = 0;
-  PeerDeathHandler peer_death_;
-  RatpStats stats_;
-  // Registry mirrors of stats_ ("<name>/ratp/..."), resolved at construction.
+  // Protocol counters ("<name>/ratp/..."), resolved at construction.
   std::uint64_t* m_started_;
   std::uint64_t* m_completed_;
   std::uint64_t* m_timeouts_;

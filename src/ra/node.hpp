@@ -58,9 +58,6 @@ class Node {
   void addPartition(std::unique_ptr<Partition> p);
   // The partition serving a segment (Errc::not_found if none claims it).
   Result<Partition*> partitionFor(const Sysname& segment);
-  const std::vector<std::unique_ptr<Partition>>& partitions() const noexcept {
-    return partitions_;
-  }
 
   // ---- Failure injection ----
   // Crash: every IsiBa dies mid-flight (RAII unwinding), the NIC goes down,

@@ -50,9 +50,6 @@ class Partition {
   // Drop every resident page of this segment (without writing back). Used
   // by consistency aborts.
   virtual void dropSegment(const Sysname& segment) = 0;
-
-  // Page faults this partition has served (fetches, upgrades, zero-fills).
-  virtual std::uint64_t faultCount() const { return 0; }
 };
 
 }  // namespace clouds::ra

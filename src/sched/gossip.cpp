@@ -55,7 +55,6 @@ void GossipAgent::broadcast(sim::Process& self) {
   frame.protocol = net::kProtoSched;
   frame.payload = report.encode();
   node_.nic().send(self, std::move(frame));
-  ++sent_;
   ++*m_sent_;
   node_.simulation().trace(node_.name(), "sched",
                            "gossip seq " + std::to_string(report.seq) + " threads " +
@@ -71,7 +70,6 @@ void GossipAgent::onFrame(const net::Frame& frame) {
   }
   if (report.value().node == node_.id()) return;  // defensive: never happens on-wire
   table_.record(report.value(), node_.simulation().now(), /*self=*/false);
-  ++received_;
   ++*m_received_;
 }
 

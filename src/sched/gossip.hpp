@@ -35,9 +35,6 @@ class GossipAgent {
   // servers participate.
   GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor, Options options);
 
-  std::uint64_t reportsSent() const noexcept { return sent_; }
-  std::uint64_t reportsReceived() const noexcept { return received_; }
-
  private:
   void start();
   void loop(sim::Process& self);
@@ -52,8 +49,6 @@ class GossipAgent {
   sim::Process* loop_ = nullptr;
   std::uint64_t epoch_ = 0;  // bumped on crash: stale ticks must not wake a new loop
   std::uint64_t seq_ = 0;    // monotone across restarts
-  std::uint64_t sent_ = 0;
-  std::uint64_t received_ = 0;
   std::uint64_t* m_sent_;
   std::uint64_t* m_received_;
 };

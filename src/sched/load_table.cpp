@@ -2,10 +2,6 @@
 
 namespace clouds::sched {
 
-void LoadTable::attachMetrics(sim::MetricsRegistry& registry, const std::string& scope) {
-  m_evictions_ = &registry.counter(scope + "/sched/stale_evictions");
-}
-
 void LoadTable::record(const LoadReport& report, sim::TimePoint now, bool self) {
   Entry& e = entries_[report.node];
   if (!self && e.received != sim::kZero && report.seq < e.report.seq) {
@@ -35,7 +31,6 @@ std::size_t LoadTable::evictSilent(sim::TimePoint now) {
     }
   }
   stale_evictions_ += evicted;
-  if (m_evictions_ != nullptr) *m_evictions_ += evicted;
   return evicted;
 }
 

@@ -18,10 +18,8 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <string>
 
 #include "sched/report.hpp"
-#include "sim/metrics.hpp"
 #include "sim/time.hpp"
 
 namespace clouds::sched {
@@ -42,10 +40,10 @@ class LoadTable {
     std::uint64_t effectiveLoad() const { return report.threads + inflight; }
   };
 
-  explicit LoadTable(Aging aging) : aging_(aging) {}
-
-  // Mirror eviction counts into "<scope>/sched/stale_evictions".
-  void attachMetrics(sim::MetricsRegistry& registry, const std::string& scope);
+  // Silent evictions are counted into `stale_evictions` (the owning node's
+  // "<node>/sched/stale_evictions" registry counter).
+  LoadTable(Aging aging, std::uint64_t& stale_evictions)
+      : aging_(aging), stale_evictions_(stale_evictions) {}
 
   // Fold in a report (received off the wire, or a local self-sample).
   void record(const LoadReport& report, sim::TimePoint now, bool self);
@@ -76,7 +74,6 @@ class LoadTable {
       const std::function<bool(net::NodeId)>& eligible = {}) const;
   const std::map<net::NodeId, Entry>& entries() const noexcept { return entries_; }
   const Aging& aging() const noexcept { return aging_; }
-  std::uint64_t staleEvictions() const noexcept { return stale_evictions_; }
 
   // Node crash: the table is volatile kernel state.
   void clear() { entries_.clear(); }
@@ -84,8 +81,7 @@ class LoadTable {
  private:
   Aging aging_;
   std::map<net::NodeId, Entry> entries_;
-  std::uint64_t stale_evictions_ = 0;
-  std::uint64_t* m_evictions_ = nullptr;
+  std::uint64_t& stale_evictions_;
 };
 
 }  // namespace clouds::sched

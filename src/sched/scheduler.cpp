@@ -7,7 +7,6 @@ Scheduler::Scheduler(ra::Node& node, LoadTable& table, LoadMonitor* monitor, Con
   sim::MetricsRegistry& metrics = node_.simulation().metrics();
   m_placements_ = &metrics.counter(node_.name() + "/sched/placements");
   m_fallbacks_ = &metrics.counter(node_.name() + "/sched/fallbacks");
-  table_.attachMetrics(metrics, node_.name());
 }
 
 Result<net::NodeId> Scheduler::place(const std::optional<Sysname>& locality_hint,
@@ -44,7 +43,6 @@ Result<net::NodeId> Scheduler::place(const std::optional<Sysname>& locality_hint
   const std::size_t pick = choosePlacement(config_.policy, candidates, sim.rng());
   const net::NodeId chosen = candidates[pick].node;
   table_.notePlacement(chosen);
-  ++placements_;
   ++*m_placements_;
   sim.trace(node_.name(), "sched",
             std::string("place policy ") + policyName(config_.policy) + " -> node " +
@@ -62,7 +60,6 @@ void Scheduler::noteDead(net::NodeId node) {
 }
 
 void Scheduler::countFallback() {
-  ++fallbacks_;
   ++*m_fallbacks_;
 }
 
@@ -71,7 +68,8 @@ Agent::Agent(ra::Node& node, Options options, LoadMonitor::Providers providers)
                    ? std::make_unique<LoadMonitor>(node.id(), std::move(providers),
                                                    options.locality_segments)
                    : nullptr),
-      table_(aging(options)),
+      table_(aging(options),
+             node.simulation().metrics().counter(node.name() + "/sched/stale_evictions")),
       gossip_(node, table_, monitor_.get(), gossipOptions(options)),
       scheduler_(node, table_, monitor_.get(), schedulerConfig(options)) {}
 

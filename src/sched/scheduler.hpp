@@ -47,16 +47,12 @@ class Scheduler {
 
   LoadTable& table() noexcept { return table_; }
   PolicyKind policy() const noexcept { return config_.policy; }
-  std::uint64_t placements() const noexcept { return placements_; }
-  std::uint64_t fallbacks() const noexcept { return fallbacks_; }
 
  private:
   ra::Node& node_;
   LoadTable& table_;
   LoadMonitor* monitor_;
   Config config_;
-  std::uint64_t placements_ = 0;
-  std::uint64_t fallbacks_ = 0;
   std::uint64_t* m_placements_;
   std::uint64_t* m_fallbacks_;
 };
@@ -80,7 +76,6 @@ class Agent {
   bool computeAgent() const noexcept { return monitor_ != nullptr; }
   LoadMonitor* monitor() noexcept { return monitor_.get(); }
   LoadTable& table() noexcept { return table_; }
-  GossipAgent& gossip() noexcept { return gossip_; }
   Scheduler& scheduler() noexcept { return scheduler_; }
 
  private:

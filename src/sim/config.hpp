@@ -1,20 +1,5 @@
-// Simulation engine configuration.
-//
-// The simulation carries real C++ code on cooperatively scheduled
-// processes; two interchangeable context-switch engines implement the
-// one-runner handshake (docs/SIMCORE.md):
-//
-//   threads — the original engine: one host std::thread per Process, parked
-//             on a condition variable between resumes. Two kernel context
-//             switches per event; kept as the reference implementation the
-//             fiber engine is proven byte-identical against.
-//   fibers  — stackful user-space fibers: per-process stacks switched in
-//             user space (sim/fiber.hpp), no kernel involvement, >=10x the
-//             event throughput (bench_simcore, EXPERIMENTS.md E10).
-//
-// Both engines drive the identical Process state machine, so every run is
-// bit-for-bit reproducible across engines for a given seed
-// (tests/sim_engine_equivalence_test.cpp).
+// Simulation engine configuration: the seed and the per-process fiber stack
+// size (docs/SIMCORE.md).
 #pragma once
 
 #include <cstddef>
@@ -36,23 +21,15 @@
 
 namespace clouds::sim {
 
-enum class Engine : std::uint8_t { threads, fibers };
-
 struct SimConfig {
   std::uint64_t seed = 1;
-  Engine engine = Engine::fibers;
   // Stack reserved per fiber (virtual memory; pages commit lazily, so idle
   // fibers cost a few KiB of RSS). A guard region below the stack turns
   // overflow into a deterministic fault instead of silent corruption.
   // ASan builds get 8x: redzones between locals inflate every frame ~3-4x,
   // and the deepest invocation chains (nested object invocations over DSM
   // during crash recovery) genuinely overflow 1 MiB under instrumentation.
-  // Ignored by the threads engine (host threads get the default 8 MiB).
   std::size_t fiber_stack_bytes = CLOUDS_SIM_ASAN ? (8u << 20) : (1u << 20);
 };
-
-inline const char* engineName(Engine e) noexcept {
-  return e == Engine::threads ? "threads" : "fibers";
-}
 
 }  // namespace clouds::sim

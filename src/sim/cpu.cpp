@@ -27,12 +27,10 @@ void CpuResource::compute(Process& self, Duration work) {
     Duration slice = std::min(remaining, kQuantum);
     if (last_user_ != &self) {
       slice += switch_cost_;
-      ++switches_;
-      if (m_switches_ != nullptr) ++*m_switches_;
+      ++*m_switches_;
       last_user_ = &self;
     }
-    busy_ += slice;
-    if (m_busy_usec_ != nullptr) *m_busy_usec_ += static_cast<std::uint64_t>(slice.count() / 1000);
+    *m_busy_usec_ += static_cast<std::uint64_t>(slice.count() / 1000);
     if (slice > kZero) self.delay(slice);
     remaining -= std::min(remaining, kQuantum);
     first = false;

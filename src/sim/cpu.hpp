@@ -17,28 +17,30 @@ namespace clouds::sim {
 
 class CpuResource {
  public:
-  CpuResource(Duration context_switch_cost) : switch_cost_(context_switch_cost) {}
+  CpuResource(Duration context_switch_cost) : switch_cost_(context_switch_cost) {
+    attachMetrics(unattached_, "unattached");
+  }
+  // The counter handles may point into this object's own registry.
+  CpuResource(const CpuResource&) = delete;
+  CpuResource& operator=(const CpuResource&) = delete;
 
-  // Bind this CPU's scheduler metrics ("<prefix>/cpu/context_switches",
-  // "<prefix>/cpu/busy_usec"). The Ra node layer attaches its CPU at
-  // construction; bare CpuResources (micro-benches) stay unmetered.
+  // Count this CPU's scheduler metrics into "<prefix>/cpu/context_switches"
+  // and "<prefix>/cpu/busy_usec"; call before the first compute(). The Ra
+  // node layer attaches its CPU at construction; a bare CpuResource
+  // (micro-benches) counts into a private registry nobody reads.
   void attachMetrics(MetricsRegistry& metrics, const std::string& prefix);
 
   // Consume `work` of CPU time (plus a context switch if the previous user
   // was a different process). Blocks while other processes occupy the CPU.
   void compute(Process& self, Duration work);
 
-  std::uint64_t switchCount() const noexcept { return switches_; }
-  Duration busyTime() const noexcept { return busy_; }
-
  private:
   Duration switch_cost_;
   SimMutex mu_;
   const Process* last_user_ = nullptr;
-  std::uint64_t switches_ = 0;
-  Duration busy_ = kZero;
-  std::uint64_t* m_switches_ = nullptr;
-  std::uint64_t* m_busy_usec_ = nullptr;
+  MetricsRegistry unattached_;
+  std::uint64_t* m_switches_;
+  std::uint64_t* m_busy_usec_;
 };
 
 }  // namespace clouds::sim

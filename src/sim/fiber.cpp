@@ -36,8 +36,8 @@ std::size_t pageSize() {
 // Saves the System V callee-saved registers plus the SSE/x87 control words
 // on the current stack, parks the stack pointer in *save_sp, and resumes
 // load_sp (built either by a previous call here or by the bootstrap frame
-// below). No syscalls — this is the whole reason the fiber engine beats the
-// thread engine by >=10x (glibc's swapcontext pays a sigprocmask per hop).
+// below). No syscalls — this is why fibers beat a thread-per-process engine
+// by >=10x (glibc's swapcontext pays a sigprocmask per hop).
 asm(R"(
 .text
 .align 16

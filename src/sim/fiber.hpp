@@ -1,5 +1,5 @@
-// Stackful user-space fibers — the context-switch engine behind
-// Engine::fibers (docs/SIMCORE.md).
+// Stackful user-space fibers — the simulation's context-switch engine
+// (docs/SIMCORE.md).
 //
 // A Fiber is either *adopted* (the default constructor captures nothing and
 // stands for the host thread's own stack — the scheduler side) or *created*
@@ -11,7 +11,7 @@
 // x86-64 (callee-saved registers + stack pointer + FP control words, no
 // syscalls); other architectures fall back to POSIX ucontext. Both paths
 // carry AddressSanitizer fiber annotations so the ASan/UBSan chaos lane can
-// run the fiber engine with detect_stack_use_after_return enabled.
+// run the simulation with detect_stack_use_after_return enabled.
 //
 // Stacks are reserved lazily (MAP_NORESERVE; pages commit on first touch)
 // with a PROT_NONE guard page below, so overflow faults deterministically

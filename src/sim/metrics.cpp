@@ -100,6 +100,17 @@ std::uint64_t MetricsRegistry::counterValue(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
+std::uint64_t MetricsRegistry::sumCounters(std::string_view suffix) const {
+  std::uint64_t total = 0;
+  for (const auto& [name, value] : counters_) {
+    if (name.size() > suffix.size() && name.ends_with(suffix) &&
+        name[name.size() - suffix.size() - 1] == '/') {
+      total += value;
+    }
+  }
+  return total;
+}
+
 std::int64_t MetricsRegistry::gaugeValue(const std::string& name) const {
   auto it = gauges_.find(name);
   return it == gauges_.end() ? 0 : it->second;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -76,6 +77,10 @@ class MetricsRegistry {
   std::uint64_t counterValue(const std::string& name) const;
   std::int64_t gaugeValue(const std::string& name) const;
   const Histogram* findHistogram(const std::string& name) const;
+  // Sum of every counter whose name ends in "/<suffix>": a cluster-wide
+  // total over nodes, e.g. sumCounters("ratp/retransmits"). Only whole name
+  // segments match ("x/ratp/retransmits_2" does not); 0 when none does.
+  std::uint64_t sumCounters(std::string_view suffix) const;
 
   // Fold another registry in: counters and gauges add, histograms merge.
   // Commutative — merging A into B equals merging B into A.

@@ -11,13 +11,9 @@ namespace clouds::sim {
 
 Process::Process(Simulation& sim, std::uint64_t id, std::string name,
                  std::function<void(Process&)> body)
-    : sim_(sim), id_(id), name_(std::move(name)), engine_(sim.config().engine),
-      body_(std::move(body)) {
-  if (engine_ == Engine::threads) {
-    thread_ = std::thread([this] { threadMain(); });
-  }
-  // Fibers allocate their stack lazily in resumeNow(): a spawn wave only
-  // pays for processes that actually start running.
+    : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {
+  // The fiber and its stack are allocated lazily in resumeNow(): a spawn
+  // wave only pays for processes that actually start running.
 }
 
 Process::~Process() {
@@ -25,25 +21,9 @@ Process::~Process() {
     kill();
     resumeNow();
   }
-  reap();
-}
-
-void Process::threadMain() {
-  {
-    std::unique_lock lk(mu_);
-    cv_.wait(lk, [&] { return state_ == State::running; });
-  }
-  runBody();
-  // yield(State::done) returned: the thread exits and the scheduler reaps.
 }
 
 void Process::fiberMain() {
-  runBody();
-  // Unreachable: yield(State::done) exits the fiber permanently.
-  std::abort();
-}
-
-void Process::runBody() {
   if (!killed_) {
     try {
       body_(*this);
@@ -59,22 +39,15 @@ void Process::runBody() {
   }
   body_ = nullptr;  // drop captured handles before announcing done
   yield(State::done);
+  // Unreachable: yield(State::done) exits the fiber permanently.
+  std::abort();
 }
 
 void Process::yield(State next) {
   assert(next == State::blocked || next == State::done);
-  if (engine_ == Engine::threads) {
-    std::unique_lock lk(mu_);
-    state_ = next;
-    cv_.notify_all();
-    if (next == State::done) return;  // thread is about to exit; scheduler reaps it
-    cv_.wait(lk, [&] { return state_ == State::running; });
-    lk.unlock();
-  } else {
-    state_ = next;
-    if (next == State::done) fiber_->exitTo(sim_.sched_ctx_);  // never returns
-    fiber_->switchTo(sim_.sched_ctx_);
-  }
+  state_ = next;
+  if (next == State::done) fiber_->exitTo(sim_.sched_ctx_);  // never returns
+  fiber_->switchTo(sim_.sched_ctx_);
   throwIfKilled();
 }
 
@@ -90,119 +63,69 @@ void Process::resumeNow() {
   assert(state_ != State::running);
   if (done()) return;
   ++*sim_.process_resumes_;
-  if (engine_ == Engine::threads) {
-    std::unique_lock lk(mu_);
-    state_ = State::running;
-    cv_.notify_all();
-    cv_.wait(lk, [&] { return state_ != State::running; });
-  } else {
-    if (!fiber_) {
-      fiber_ = std::make_unique<Fiber>(
-          sim_.config().fiber_stack_bytes,
-          [](void* self) { static_cast<Process*>(self)->fiberMain(); }, this);
-    }
-    state_ = State::running;
-    sim_.sched_ctx_.switchTo(*fiber_);  // returns once the process yields
+  if (!fiber_) {
+    fiber_ = std::make_unique<Fiber>(
+        sim_.config().fiber_stack_bytes,
+        [](void* self) { static_cast<Process*>(self)->fiberMain(); }, this);
   }
-  if (done()) reap();
+  state_ = State::running;
+  sim_.sched_ctx_.switchTo(*fiber_);  // returns once the process yields
+  if (done()) fiber_.reset();         // free the stack as soon as it finishes
+}
+
+void Process::queueResume(Duration d) {
+  resume_queued_ = true;
+  sim_.schedule(d, [this] {
+    resume_queued_ = false;
+    if (!done()) resumeNow();
+  });
 }
 
 void Process::scheduleResume() {
-  if (done()) return;
-  {
-    std::scoped_lock lk(mu_);
-    if (resume_queued_) return;
-    resume_queued_ = true;
-    if (state_ == State::blocked || state_ == State::created) state_ = State::ready;
-  }
-  sim_.schedule(kZero, [this] {
-    {
-      std::scoped_lock lk(mu_);
-      resume_queued_ = false;
-    }
-    if (!done()) resumeNow();
-  });
+  if (done() || resume_queued_) return;
+  if (state_ == State::blocked || state_ == State::created) state_ = State::ready;
+  queueResume(kZero);
 }
 
 void Process::delay(Duration d) {
   throwIfKilled();
-  {
-    std::scoped_lock lk(mu_);
-    assert(state_ == State::running);
-    resume_queued_ = true;
-  }
-  sim_.schedule(d, [this] {
-    {
-      std::scoped_lock lk(mu_);
-      resume_queued_ = false;
-    }
-    if (!done()) resumeNow();
-  });
+  assert(state_ == State::running);
+  queueResume(d);
   yield(State::blocked);
 }
 
 void Process::block() {
   throwIfKilled();
-  {
-    std::scoped_lock lk(mu_);
-    ++block_token_;  // invalidate any stale blockFor timer
-  }
+  ++block_token_;  // invalidate any stale blockFor timer
   yield(State::blocked);
 }
 
 bool Process::blockFor(Duration timeout) {
   throwIfKilled();
-  std::uint64_t token = 0;
-  {
-    std::scoped_lock lk(mu_);
-    token = ++block_token_;
-    timed_out_ = false;
-  }
+  const std::uint64_t token = ++block_token_;
+  timed_out_ = false;
   sim_.schedule(timeout, [this, token] {
-    bool fire = false;
-    {
-      std::scoped_lock lk(mu_);
-      fire = state_ == State::blocked && block_token_ == token && !resume_queued_;
-      if (fire) {
-        timed_out_ = true;
-        ++block_token_;  // a timer fires at most once
-      }
-    }
-    if (fire) resumeNow();
+    if (state_ != State::blocked || block_token_ != token || resume_queued_) return;
+    timed_out_ = true;
+    ++block_token_;  // a timer fires at most once
+    resumeNow();
   });
   yield(State::blocked);
-  bool woken = false;
-  {
-    std::scoped_lock lk(mu_);
-    woken = !timed_out_;
-    timed_out_ = false;
-  }
+  const bool woken = !timed_out_;
+  timed_out_ = false;
   return woken;
 }
 
 void Process::wake() {
-  std::uint64_t invalidate = 0;
-  {
-    std::scoped_lock lk(mu_);
-    if (state_ != State::blocked || resume_queued_) return;
-    invalidate = ++block_token_;  // cancel any outstanding blockFor timeout
-  }
-  (void)invalidate;
+  if (state_ != State::blocked || resume_queued_) return;
+  ++block_token_;  // cancel any outstanding blockFor timeout
   scheduleResume();
 }
 
 void Process::kill() {
-  {
-    std::scoped_lock lk(mu_);
-    if (killed_ || state_ == State::done) return;
-    killed_ = true;
-  }
+  if (killed_ || state_ == State::done) return;
+  killed_ = true;
   if (state_ == State::blocked) scheduleResume();
-}
-
-void Process::reap() {
-  if (thread_.joinable()) thread_.join();
-  fiber_.reset();
 }
 
 }  // namespace clouds::sim

@@ -7,27 +7,19 @@
 // deterministic event ordering this makes every run with a given seed
 // bit-for-bit reproducible, while letting "object code" be ordinary C++.
 //
-// Two interchangeable context-switch engines implement the handshake
-// (SimConfig::engine, docs/SIMCORE.md): the original thread-per-process
-// engine (a parked std::thread each) and the default stackful-fiber engine
-// (per-process user-space stacks, sim/fiber.hpp — no kernel switches, >=10x
-// the event throughput). The state machine below is engine-neutral, so the
-// two produce byte-identical universes for a given seed
-// (tests/sim_engine_equivalence_test.cpp).
+// Each process runs on a stackful user-space fiber (sim/fiber.hpp): control
+// moves between the scheduler and a process by switching stacks in user
+// space, with no host threads and no kernel involvement (docs/SIMCORE.md).
 //
 // This is the reproduction's stand-in for an IsiBa's machine context; the Ra
 // layer wraps it with a stack segment and node binding (DESIGN.md §2).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
-#include "sim/config.hpp"
 #include "sim/fiber.hpp"
 #include "sim/time.hpp"
 
@@ -64,7 +56,7 @@ class Process {
   // captured token is still current — block(), blockFor(), and wake() each
   // advance the token, so a stale timer from an earlier blockFor() cannot
   // fire into a later block (tests/sim_process_test.cpp,
-  // EngineProcess.StaleTimerCannot*).
+  // Process.StaleTimerCannot*).
   void block();
 
   // Block with a timeout. Returns true if woken by wake(), false if the
@@ -86,44 +78,33 @@ class Process {
   friend class Simulation;
   Process(Simulation& sim, std::uint64_t id, std::string name, std::function<void(Process&)> body);
 
-  // Shared body wrapper: runs the user code, absorbs ProcessKilled, and
-  // yields State::done. Entered by threadMain (threads) or fiberMain
-  // (fibers) once the first resume arrives.
-  void runBody();
-  void threadMain();
+  // Fiber entry: runs the user code, absorbs ProcessKilled, and yields
+  // State::done, which leaves the fiber for good.
   [[noreturn]] void fiberMain();
   // Hand control back to the scheduler and wait to be resumed. Rethrows
   // ProcessKilled on resume if kill() was requested (unless unwinding).
-  // Never returns when next == State::done on the fiber engine.
+  // Never returns when next == State::done.
   void yield(State next);
   void throwIfKilled();
   // Scheduler side: transfer control to the process and wait for its yield.
   void resumeNow();
   // Queue a resume event at the current time if none is pending.
   void scheduleResume();
-  // Release the engine's execution resources once the process is done:
-  // join the host thread / free the fiber stack. Idempotent.
-  void reap();
+  // Queue the resume event d from now (marks it pending until it fires).
+  void queueResume(Duration d);
 
   Simulation& sim_;
   std::uint64_t id_;
   std::string name_;
-  const Engine engine_;
   std::function<void(Process&)> body_;  // released when the body finishes
 
-  // Engine-neutral state machine. The mutex is load-bearing only for the
-  // threads engine (two host threads hand off through it); under fibers
-  // everything runs on one host thread and the uncontended locks are noise.
-  std::mutex mu_;
-  std::condition_variable cv_;
   State state_ = State::created;
   bool resume_queued_ = false;
   bool timed_out_ = false;
   bool killed_ = false;
   std::uint64_t block_token_ = 0;
 
-  std::thread thread_;           // threads engine
-  std::unique_ptr<Fiber> fiber_; // fibers engine; stack allocated on first resume
+  std::unique_ptr<Fiber> fiber_;  // stack allocated on first resume
 };
 
 }  // namespace clouds::sim

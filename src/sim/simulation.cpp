@@ -99,7 +99,6 @@ void Simulation::shutdownProcesses() {
       }
     }
   }
-  for (auto& p : processes_) p->reap();
 }
 
 }  // namespace clouds::sim

@@ -95,7 +95,7 @@ class Simulation {
 
   SimConfig config_;
   // The scheduler side of every fiber context switch: adopts whichever host
-  // stack is driving the event loop. Unused by the threads engine.
+  // stack is driving the event loop.
   Fiber sched_ctx_;
   TimePoint now_ = kZero;
   std::uint64_t next_seq_ = 0;
@@ -109,7 +109,7 @@ class Simulation {
   TraceSink trace_;
   MetricsRegistry metrics_;
   // Simulation-core throughput counters (sim/*): cached references, bumped
-  // on the hot path; bench_simcore reports them per engine (E10).
+  // on the hot path; bench_simcore reports them (E10).
   std::uint64_t* events_executed_ = nullptr;
   std::uint64_t* process_resumes_ = nullptr;
   std::uint64_t* processes_spawned_ = nullptr;

@@ -62,7 +62,6 @@ Result<Binding> NameServer::lookup(const std::string& name) {
   }
   for (const Sysname& link : consumed) {
     if (forwards_.erase(link) != 0) {
-      ++forwards_collapsed_;
       ++*m_forwards_collapsed_;
     }
   }
@@ -90,7 +89,6 @@ Result<void> NameServer::addForward(const Sysname& from, const Sysname& to) {
   // Overwrite is legal: a re-migration of a not-yet-looked-up object simply
   // repoints the stale entry (the durable header stubs still chain).
   forwards_[from] = to;
-  ++forwards_installed_;
   ++*m_forwards_installed_;
   return okResult();
 }

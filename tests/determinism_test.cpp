@@ -130,7 +130,7 @@ MigrationRunResult runMigrationWorkload(std::uint64_t seed,
   }
   out.probe = cluster.call("H", "value", {}, 1).value().asInt().valueOr(-1);
   out.events = cluster.migrationEvents();
-  out.committed = cluster.stats().migrations_committed;
+  out.committed = cluster.sim().metrics().sumCounters("migrate/committed");
   out.digest = cluster.sim().tracer().digest();
   out.metrics_json = cluster.sim().metrics().toJson();
   return out;
@@ -210,7 +210,7 @@ TEST(Determinism, DifferentSeedDivergesButStaysCorrect) {
 // The application tier joins the deterministic universe (docs/APP.md): an
 // open-loop generator run — Zipf draws, diurnal arrival gaps, gossip-fed
 // placement decisions, per-op completion latencies — is a pure function of
-// the seed, on either context-switch engine.
+// the seed.
 struct SocialRunResult {
   std::string transcript;  // one line per op: kind, key, placement, outcome
   std::string metrics_json;
@@ -219,14 +219,13 @@ struct SocialRunResult {
   std::uint64_t ok = 0;
 };
 
-SocialRunResult runSocialWorkload(std::uint64_t seed, sim::Engine engine) {
+SocialRunResult runSocialWorkload(std::uint64_t seed) {
   ClusterConfig cfg;
   cfg.compute_servers = 0;
   cfg.data_servers = 0;
   cfg.combined_servers = 3;
   cfg.workstations = 1;  // the generator places through the gossip chooser
   cfg.seed = seed;
-  cfg.engine = engine;
   Cluster cluster(cfg);
   app::SocialApp::Options opts;
   opts.shards = 8;
@@ -252,8 +251,8 @@ SocialRunResult runSocialWorkload(std::uint64_t seed, sim::Engine engine) {
 }
 
 TEST(Determinism, SocialWorkloadTranscriptReplaysByteForByte) {
-  const SocialRunResult a = runSocialWorkload(20260809, sim::Engine::fibers);
-  const SocialRunResult b = runSocialWorkload(20260809, sim::Engine::fibers);
+  const SocialRunResult a = runSocialWorkload(20260809);
+  const SocialRunResult b = runSocialWorkload(20260809);
   EXPECT_EQ(a.transcript, b.transcript);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.percentiles_json, b.percentiles_json);
@@ -262,15 +261,9 @@ TEST(Determinism, SocialWorkloadTranscriptReplaysByteForByte) {
   EXPECT_GT(a.ok, 100u);
   EXPECT_NE(a.metrics_json.find("load/read/latency_usec"), std::string::npos);
 
-  // The reference threads engine produces the same universe, op for op.
-  const SocialRunResult t = runSocialWorkload(20260809, sim::Engine::threads);
-  EXPECT_EQ(a.transcript, t.transcript);
-  EXPECT_EQ(a.metrics_json, t.metrics_json);
-  EXPECT_EQ(a.digest, t.digest);
-
   // And the seed actually steers it: a different seed draws different keys,
   // gaps, and placements.
-  const SocialRunResult c = runSocialWorkload(20260810, sim::Engine::fibers);
+  const SocialRunResult c = runSocialWorkload(20260810);
   EXPECT_NE(a.transcript, c.transcript);
 }
 

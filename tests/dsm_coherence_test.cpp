@@ -36,6 +36,15 @@ struct DsmFixture : Testbed {
     ASSERT_TRUE(h.ok());
     std::memcpy(h.value().data + off, &v, sizeof(v));
   }
+  // A per-node registry counter, "<node>/<what>".
+  std::uint64_t counter(const ra::Node& node, const std::string& what) const {
+    return sim.metrics().counterValue(node.name() + "/" + what);
+  }
+  // Page faults served by compute node `i`'s DSM partition.
+  std::uint64_t faults(int i) const {
+    const ra::Node& n = *compute[static_cast<std::size_t>(i)].node;
+    return counter(n, "dsm/read_faults") + counter(n, "dsm/write_faults");
+  }
 };
 
 TEST(Dsm, RemoteReadSeesStoreContents) {
@@ -77,11 +86,11 @@ TEST(Dsm, ReadAfterWriteIsCacheHitNoTraffic) {
   DsmFixture f;
   f.sim.spawn("driver", [&](sim::Process& self) {
     f.writeAt(self, 0, 0, 0, 7);
-    const auto faults = f.compute[0].dsm->faultCount();
-    const auto frames_sent = f.compute[0].node->nic().framesSent();
+    const auto faults = f.faults(0);
+    const auto frames_sent = f.counter(*f.compute[0].node, "eth/frames_sent");
     for (int i = 0; i < 100; ++i) EXPECT_EQ(f.readAt(self, 0, 0, 0), 7u);
-    EXPECT_EQ(f.compute[0].dsm->faultCount(), faults);  // pure hits
-    EXPECT_EQ(f.compute[0].node->nic().framesSent(), frames_sent);
+    EXPECT_EQ(f.faults(0), faults);  // pure hits
+    EXPECT_EQ(f.counter(*f.compute[0].node, "eth/frames_sent"), frames_sent);
   });
   f.sim.run();
 }
@@ -91,9 +100,9 @@ TEST(Dsm, SharedReadersCoexistWithoutInvalidation) {
   f.sim.spawn("driver", [&](sim::Process& self) {
     f.writeAt(self, 0, 0, 0, 5);
     for (int n = 0; n < 3; ++n) EXPECT_EQ(f.readAt(self, n, 0, 0), 5u);
-    const auto inv = f.data[0].server->invalidationsSent();
+    const auto inv = f.counter(*f.data[0].node, "dsm/invalidations");
     for (int n = 0; n < 3; ++n) EXPECT_EQ(f.readAt(self, n, 0, 0), 5u);
-    EXPECT_EQ(f.data[0].server->invalidationsSent(), inv);
+    EXPECT_EQ(f.counter(*f.data[0].node, "dsm/invalidations"), inv);
   });
   f.sim.run();
 }
@@ -136,8 +145,8 @@ TEST(Dsm, ConcurrentFaultsOnSamePageJoinOneFetch) {
   f.sim.run();
   EXPECT_EQ(done, 4);
   // One fault fetched the page; the rest joined it.
-  EXPECT_EQ(f.compute[0].dsm->faultCount(), 1u);
-  EXPECT_EQ(f.compute[0].dsm->hitCount(), 4u);
+  EXPECT_EQ(f.faults(0), 1u);
+  EXPECT_EQ(f.counter(*f.compute[0].node, "dsm/hits"), 4u);
 }
 
 TEST(Dsm, EvictionWritesBackDirtyData) {

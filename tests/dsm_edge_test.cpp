@@ -48,8 +48,8 @@ TEST(DsmEdge, CoherenceSurvivesRandomFrameLoss) {
     }
   });
   f.sim.run();
-  EXPECT_GT(f.compute[0].node->ratp().stats().retransmissions +
-                f.compute[1].node->ratp().stats().retransmissions,
+  EXPECT_GT(f.sim.metrics().counterValue(f.compute[0].node->name() + "/ratp/retransmits") +
+                f.sim.metrics().counterValue(f.compute[1].node->name() + "/ratp/retransmits"),
             0u);
 }
 

@@ -207,5 +207,39 @@ TEST(MetricsRegistry, ClearEmptiesEverything) {
   EXPECT_EQ(r.toJson(), "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
 }
 
+TEST(MetricsRegistry, SumCountersMatchesWholeNameSegmentsOnly) {
+  MetricsRegistry r;
+  r.counter("a/ratp/retransmits") = 3;
+  r.counter("b/ratp/retransmits") = 4;
+  r.counter("a/ratp/retransmits_x") = 100;
+  r.counter("a/ratp/my_retransmits") = 200;
+  r.counter("ratp/retransmits") = 300;  // no node segment in front
+  r.gauge("c/ratp/retransmits") = 400;  // gauges are not counters
+  EXPECT_EQ(r.sumCounters("ratp/retransmits"), 7u);
+  EXPECT_EQ(r.sumCounters("retransmits"), 307u);  // "ratp/retransmits" ends in it too
+  EXPECT_EQ(r.sumCounters("ratp/retransmits_x"), 100u);
+  EXPECT_EQ(r.sumCounters("nope"), 0u);
+}
+
+TEST(MetricsRegistry, SumCountersOnEmptyRegistryIsZero) {
+  MetricsRegistry r;
+  EXPECT_EQ(r.sumCounters("ratp/retransmits"), 0u);
+}
+
+TEST(MetricsRegistry, SumCountersIndependentOfMergeOrder) {
+  MetricsRegistry a;
+  a.counter("n0/wal/forces") = 5;
+  a.counter("n1/wal/forces") = 1;
+  MetricsRegistry b;
+  b.counter("n1/wal/forces") = 2;
+  b.counter("n2/wal/forces") = 7;
+  MetricsRegistry ab = a;
+  ab.merge(b);
+  MetricsRegistry ba = b;
+  ba.merge(a);
+  EXPECT_EQ(ab.sumCounters("wal/forces"), 15u);
+  EXPECT_EQ(ba.sumCounters("wal/forces"), 15u);
+}
+
 }  // namespace
 }  // namespace clouds::sim

@@ -241,6 +241,16 @@ ClusterConfig twoCombined() {
   return cfg;
 }
 
+// A migration counter ("<node>/migrate/<what>") of compute server `idx`.
+std::uint64_t migrations(Cluster& c, int idx, const std::string& what) {
+  return c.sim().metrics().counterValue(c.computeNode(idx).name() + "/migrate/" + what);
+}
+
+// Cluster-wide committed migrations.
+std::uint64_t committed(Cluster& c) {
+  return c.sim().metrics().sumCounters("migrate/committed");
+}
+
 // A class whose entry spins on the CPU for a controllable time — the tool
 // for holding an invocation in flight while the drain gate closes.
 obj::ClassDef slowClass() {
@@ -375,12 +385,11 @@ TEST(Migration, SyncMigrationMovesTheObjectAndPreservesState) {
   ASSERT_TRUE(c.call("C", "add", {3}, 1).ok());
   EXPECT_EQ(c.call("C", "value", {}, 1).value(), Value{8});
 
-  const auto& st = c.migrator(0).stats();
-  EXPECT_EQ(st.started, 1u);
-  EXPECT_EQ(st.committed, 1u);
-  EXPECT_EQ(st.aborted, 0u);
+  EXPECT_EQ(migrations(c, 0, "started"), 1u);
+  EXPECT_EQ(migrations(c, 0, "committed"), 1u);
+  EXPECT_EQ(migrations(c, 0, "aborted"), 0u);
   EXPECT_EQ(c.migrator(0).state(), migrate::State::idle);
-  EXPECT_EQ(c.stats().migrations_committed, 1u);
+  EXPECT_EQ(committed(c), 1u);
   // The deterministic transcript recorded the full state walk.
   const std::string events = c.migrationEvents();
   EXPECT_NE(events.find("state draining"), std::string::npos);
@@ -407,7 +416,7 @@ TEST(Migration, RawOldSysnameChasesTheForwardStub) {
   // into a wrong place).
   ASSERT_TRUE(c.callObject(old_sys.value(), "add", {2}, 1).ok());
   EXPECT_EQ(c.callObject(old_sys.value(), "value", {}, 0).value(), Value{7});
-  EXPECT_GE(c.stats().forward_chases, 1u);
+  EXPECT_GE(c.runtime(0).stats().forward_chases + c.runtime(1).stats().forward_chases, 1u);
 }
 
 TEST(Migration, CachedActivationChasesAfterMigrationWithoutLeakingScope) {
@@ -470,19 +479,20 @@ TEST(Migration, NameServerForwardResolvesExactlyOnceThenCollapses) {
   ASSERT_TRUE(c.migrateObjectSync(0, old_sys.value(), 1).ok());
 
   sysobj::NameServer& ns = c.nameServer();
+  const sim::MetricsRegistry& m = c.sim().metrics();
   ASSERT_EQ(ns.forwardCount(), 1u);
-  ASSERT_EQ(ns.forwardsInstalled(), 1u);
-  EXPECT_EQ(ns.forwardsCollapsed(), 0u);
+  ASSERT_EQ(m.sumCounters("names/forwards_installed"), 1u);
+  EXPECT_EQ(m.sumCounters("names/forwards_collapsed"), 0u);
 
   // First lookup chases the entry AND rewrites the binding in place: the
   // forwarding entry is consumed.
   EXPECT_EQ(c.call("C", "value", {}, 0).value(), Value{4});
   EXPECT_EQ(ns.forwardCount(), 0u);
-  EXPECT_EQ(ns.forwardsCollapsed(), 1u);
+  EXPECT_EQ(m.sumCounters("names/forwards_collapsed"), 1u);
 
   // Later lookups are direct hits — no forwarding machinery involved.
   EXPECT_EQ(c.call("C", "value", {}, 1).value(), Value{4});
-  EXPECT_EQ(ns.forwardsCollapsed(), 1u);
+  EXPECT_EQ(m.sumCounters("names/forwards_collapsed"), 1u);
 }
 
 TEST(Migration, ReMigrationChainsAreFollowedToTheEnd) {
@@ -501,7 +511,7 @@ TEST(Migration, ReMigrationChainsAreFollowedToTheEnd) {
   // The ORIGINAL sysname now sits two stubs away from the object.
   EXPECT_EQ(c.callObject(first.value(), "value", {}, 1).value(), Value{9});
   EXPECT_EQ(c.call("C", "value", {}, 0).value(), Value{9});
-  EXPECT_EQ(c.stats().migrations_committed, 2u);
+  EXPECT_EQ(committed(c), 2u);
 }
 
 TEST(Migration, AbortOnPeerDeathRestoresLocalOwnership) {
@@ -515,10 +525,9 @@ TEST(Migration, AbortOnPeerDeathRestoresLocalOwnership) {
   const auto moved = c.migrateObjectSync(0, sys.value(), 1);
   EXPECT_FALSE(moved.ok());
 
-  const auto& st = c.migrator(0).stats();
-  EXPECT_EQ(st.started, 1u);
-  EXPECT_EQ(st.aborted, 1u);
-  EXPECT_EQ(st.committed, 0u);
+  EXPECT_EQ(migrations(c, 0, "started"), 1u);
+  EXPECT_EQ(migrations(c, 0, "aborted"), 1u);
+  EXPECT_EQ(migrations(c, 0, "committed"), 0u);
   EXPECT_EQ(c.migrator(0).state(), migrate::State::idle);
   // Ownership fully restored: not draining, no forwarding entry, and the
   // object serves reads and writes from its original home.
@@ -540,7 +549,7 @@ TEST(Migration, RejectsNonsenseArguments) {
   // A non-segment sysname is not an object.
   EXPECT_EQ(c.migrateObjectSync(0, Sysname(1, 2), 1).code(), Errc::bad_argument);
   // No protocol state was burned on either rejection.
-  EXPECT_EQ(c.migrator(0).stats().started, 0u);
+  EXPECT_EQ(migrations(c, 0, "started"), 0u);
   EXPECT_EQ(c.migrator(0).state(), migrate::State::idle);
 }
 
@@ -572,9 +581,8 @@ TEST(MigrationDaemon, MigratesAHotObjectUnderSkewedLoad) {
     ASSERT_TRUE(h->done);
     EXPECT_TRUE(h->result.ok()) << h->result.error().toString();
   }
-  const Cluster::Stats st = c.stats();
-  EXPECT_GE(st.migrations_committed, 1u) << st.toString();
-  EXPECT_EQ(c.migrator(0).stats().in_doubt, 0u);
+  EXPECT_GE(committed(c), 1u) << c.migrationEvents();
+  EXPECT_EQ(migrations(c, 0, "in_doubt"), 0u);
   // The object survived the mid-load handoff with its state intact.
   EXPECT_EQ(c.call("H", "peek", {}, 1).value(), Value{0x5EED});
 }
@@ -617,14 +625,14 @@ TEST(MigrationRebalance, QuietNodeSpreadsItsPileAndThenStaysPut) {
   // Cluster is now quiet. Let gossip + the daemons run: strictly-improving
   // moves take the 4-0-0 pile to 2-1-1 and then stop.
   c.sim().runFor(sim::msec(3000));
-  const std::uint64_t committed = c.stats().migrations_committed;
-  EXPECT_EQ(committed, 2u) << c.stats().toString();
+  const std::uint64_t moved = committed(c);
+  EXPECT_EQ(moved, 2u) << c.migrationEvents();
   EXPECT_NE(c.migrationEvents().find("rebalance pile"), std::string::npos);
 
   // Stability: much more quiet time moves nothing further (no ping-pong
   // between the now-equally-idle nodes).
   c.sim().runFor(sim::msec(5000));
-  EXPECT_EQ(c.stats().migrations_committed, committed);
+  EXPECT_EQ(committed(c), moved);
 
   // Every object still answers by name with its state intact, wherever it
   // now lives.
@@ -642,7 +650,7 @@ TEST(MigrationRebalance, SingleObjectNeverShedsAndOptOutStaysStranded) {
     ASSERT_TRUE(c.call("Only", "add", {1}, 0).ok());
     ASSERT_TRUE(c.call("Only", "add", {1}, 0).ok());
     c.sim().runFor(sim::msec(3000));
-    EXPECT_EQ(c.stats().migrations_committed, 0u) << c.stats().toString();
+    EXPECT_EQ(committed(c), 0u) << c.migrationEvents();
   }
   // With rebalance off (the default), the pile stays stranded — pinning the
   // old behaviour so the nudge is provably what moved the objects above.
@@ -658,7 +666,7 @@ TEST(MigrationRebalance, SingleObjectNeverShedsAndOptOutStaysStranded) {
       ASSERT_TRUE(c.call(name, "add", {1}, 0).ok());
     }
     c.sim().runFor(sim::msec(3000));
-    EXPECT_EQ(c.stats().migrations_committed, 0u) << c.stats().toString();
+    EXPECT_EQ(committed(c), 0u) << c.migrationEvents();
   }
 }
 

@@ -28,8 +28,8 @@ TEST(Ethernet, DeliversFrameWithPayloadIntact) {
   });
   f.sim.run();
   EXPECT_EQ(toString(received), "hello ether");
-  EXPECT_EQ(f.a.framesSent(), 1u);
-  EXPECT_EQ(f.b.framesReceived(), 1u);
+  EXPECT_EQ(f.sim.metrics().counterValue("nodeA/eth/frames_sent"), 1u);
+  EXPECT_EQ(f.sim.metrics().counterValue("nodeB/eth/frames_received"), 1u);
 }
 
 TEST(Ethernet, RoundTripMatchesPaperEthernetNumber) {
@@ -111,7 +111,7 @@ TEST(Ethernet, ScriptedDropLosesExactlyNFrames) {
   });
   f.sim.run();
   EXPECT_EQ(received, 3);
-  EXPECT_EQ(f.ether.framesDropped(), 2u);
+  EXPECT_EQ(f.sim.metrics().counterValue("net/eth/frames_dropped"), 2u);
 }
 
 TEST(Ethernet, RandomDropRateIsSeedDeterministic) {

@@ -85,15 +85,17 @@ struct ChaosCluster {
   }
 };
 
-void expectRatpBalanced(net::RatpEndpoint& ep, bool node_crashed, const char* who) {
-  const net::RatpStats& s = ep.stats();
-  const std::uint64_t ended =
-      s.transactions_completed + s.transactions_timed_out + s.transactions_aborted;
+void expectRatpBalanced(Cluster& c, bool node_crashed, const std::string& who) {
+  const sim::MetricsRegistry& m = c.sim().metrics();
+  const std::uint64_t started = m.counterValue(who + "/ratp/transactions");
+  const std::uint64_t ended = m.counterValue(who + "/ratp/completed") +
+                              m.counterValue(who + "/ratp/timeouts") +
+                              m.counterValue(who + "/ratp/aborted");
   if (node_crashed) {
     // Waiters killed by the node crash end nowhere; everything else must.
-    EXPECT_GE(s.transactions_started, ended) << who;
+    EXPECT_GE(started, ended) << who;
   } else {
-    EXPECT_EQ(s.transactions_started, ended) << who;
+    EXPECT_EQ(started, ended) << who;
   }
 }
 
@@ -135,10 +137,10 @@ RunOutcome runScripted(std::uint64_t seed) {
   out.value_a = cc.counter("A");
   out.value_b = cc.counter("B");
 
-  expectRatpBalanced(c.computeNode(0).ratp(), false, "cpu0");
-  expectRatpBalanced(c.computeNode(1).ratp(), false, "cpu1");
-  expectRatpBalanced(c.dataNode(0).ratp(), false, "data0");
-  expectRatpBalanced(c.dataNode(1).ratp(), true, "data1");
+  expectRatpBalanced(c, false, "cpu0");
+  expectRatpBalanced(c, false, "cpu1");
+  expectRatpBalanced(c, false, "data0");
+  expectRatpBalanced(c, true, "data1");
 
   out.metrics_json = c.sim().metrics().toJson();
   out.trace_digest = c.sim().tracer().digest();
@@ -199,10 +201,10 @@ RunOutcome runSweep(std::uint64_t seed) {
   out.value_a = cc.counter("A");
   out.value_b = cc.counter("B");
 
-  expectRatpBalanced(c.computeNode(0).ratp(), false, "cpu0");
-  expectRatpBalanced(c.computeNode(1).ratp(), true, "cpu1");
-  expectRatpBalanced(c.dataNode(0).ratp(), false, "data0");
-  expectRatpBalanced(c.dataNode(1).ratp(), true, "data1");
+  expectRatpBalanced(c, false, "cpu0");
+  expectRatpBalanced(c, true, "cpu1");
+  expectRatpBalanced(c, false, "data0");
+  expectRatpBalanced(c, true, "data1");
 
   out.metrics_json = c.sim().metrics().toJson();
   out.trace_digest = c.sim().tracer().digest();

@@ -89,7 +89,7 @@ Outcome runScenario(std::uint64_t seed) {
   auto v = cluster.call("C", "value");
   EXPECT_TRUE(v.ok());
   out.counter = v.ok() ? v.value().asInt().valueOr(-1) : -1;
-  out.fallbacks = cluster.stats().sched_fallbacks;
+  out.fallbacks = cluster.sim().metrics().sumCounters("sched/fallbacks");
   out.metrics_json = cluster.sim().metrics().toJson();
   out.trace_digest = cluster.sim().tracer().digest();
   return out;

@@ -109,8 +109,7 @@ sched::LoadReport reportFor(net::NodeId node, std::uint64_t seq, std::uint32_t t
 
 TEST(LoadTable, StalenessAgingAndSilentEviction) {
   sim::MetricsRegistry reg;
-  sched::LoadTable t({sim::msec(100), sim::msec(400)});
-  t.attachMetrics(reg, "node");
+  sched::LoadTable t({sim::msec(100), sim::msec(400)}, reg.counter("node/sched/stale_evictions"));
   t.record(reportFor(1, 1, 0), sim::msec(0), /*self=*/true);
   t.record(reportFor(2, 1, 0), sim::msec(0), /*self=*/false);
   ASSERT_NE(t.find(2), nullptr);
@@ -123,12 +122,12 @@ TEST(LoadTable, StalenessAgingAndSilentEviction) {
   EXPECT_EQ(t.evictSilent(sim::msec(500)), 1u);
   EXPECT_EQ(t.find(2), nullptr);
   ASSERT_NE(t.find(1), nullptr);
-  EXPECT_EQ(t.staleEvictions(), 1u);
   EXPECT_EQ(reg.counterValue("node/sched/stale_evictions"), 1u);
 }
 
 TEST(LoadTable, InflightPlacementsChargeUntilFreshReport) {
-  sched::LoadTable t({sim::msec(100), sim::msec(400)});
+  std::uint64_t evictions = 0;
+  sched::LoadTable t({sim::msec(100), sim::msec(400)}, evictions);
   t.record(reportFor(2, 1, 2), sim::msec(0), false);
   t.notePlacement(2);
   t.notePlacement(2);
@@ -234,10 +233,10 @@ TEST(SchedCluster, GossipPopulatesEveryObserverTable) {
   }
   // ...and so has every compute peer (its own row is the self sample).
   EXPECT_EQ(f.cluster.schedAgent(1).table().entries().size(), 3u);
-  const auto stats = f.cluster.stats();
-  EXPECT_GT(stats.sched_reports_sent, 0u);
-  EXPECT_GT(stats.sched_reports_received, stats.sched_reports_sent);  // broadcast fan-out
-  EXPECT_NE(stats.toString().find("sched["), std::string::npos);
+  const sim::MetricsRegistry& m = f.cluster.sim().metrics();
+  EXPECT_GT(m.sumCounters("sched/reports_sent"), 0u);
+  EXPECT_GT(m.sumCounters("sched/reports_received"),
+            m.sumCounters("sched/reports_sent"));  // broadcast fan-out
 }
 
 TEST(SchedCluster, DisablingGossipMeasurablyChangesPlacement) {
@@ -255,14 +254,14 @@ TEST(SchedCluster, DisablingGossipMeasurablyChangesPlacement) {
     auto b = f.cluster.start("S", "work", {}, 0);
     f.cluster.sim().runFor(sim::msec(200));  // mid-compute; gossip has reported
     const int idx = f.cluster.scheduleComputeServer();
-    const auto stats = f.cluster.stats();
+    const sim::MetricsRegistry& m = f.cluster.sim().metrics();
     if (gossip) {
       EXPECT_NE(idx, 0);
-      EXPECT_EQ(stats.sched_fallbacks, 0u);
+      EXPECT_EQ(m.sumCounters("sched/fallbacks"), 0u);
     } else {
       EXPECT_EQ(idx, 0);  // blind fallback, despite server 0 being busiest
-      EXPECT_GT(stats.sched_fallbacks, 0u);
-      EXPECT_EQ(stats.sched_reports_sent, 0u);
+      EXPECT_GT(m.sumCounters("sched/fallbacks"), 0u);
+      EXPECT_EQ(m.sumCounters("sched/reports_sent"), 0u);
     }
     f.cluster.run();
     EXPECT_TRUE(a->done && b->done);
@@ -291,7 +290,7 @@ TEST(SchedCluster, PartitionedServerAgesOutAndIsNeverPlacedOn) {
   for (int i = 0; i < 6; ++i) EXPECT_NE(f.cluster.scheduleComputeServer(), 0);
   auto& table = f.cluster.workstationSchedAgent(0).table();
   EXPECT_EQ(table.find(f.cluster.computeNode(0).id()), nullptr);
-  EXPECT_GT(f.cluster.stats().sched_stale_evictions, 0u);
+  EXPECT_GT(f.cluster.sim().metrics().sumCounters("sched/stale_evictions"), 0u);
   // Heal: the next gossip rounds resurrect the entry.
   f.cluster.ether().healAll();
   f.cluster.sim().runFor(sim::msec(200));
@@ -316,7 +315,7 @@ TEST(SchedCluster, FallbackSkipsCrashedPreferredServer) {
   f.cluster.sim().runFor(sim::msec(120));
   const int idx = f.cluster.scheduleComputeServer();
   EXPECT_NE(idx, 0);
-  EXPECT_GE(f.cluster.stats().sched_fallbacks, 1u);
+  EXPECT_GE(f.cluster.sim().metrics().sumCounters("sched/fallbacks"), 1u);
   auto h = f.cluster.start("C", "add_gcp", {1}, idx);
   f.cluster.run();
   ASSERT_TRUE(h->done);
@@ -354,7 +353,7 @@ TEST(SchedCluster, OraclePolicyBypassesGossip) {
   auto c = f.cluster.start("S", "work", {}, 1);
   f.cluster.sim().runFor(sim::msec(100));
   EXPECT_EQ(f.cluster.scheduleComputeServer(), 2);
-  EXPECT_EQ(f.cluster.stats().sched_placements, 0u);  // sched/ not consulted
+  EXPECT_EQ(f.cluster.sim().metrics().sumCounters("sched/placements"), 0u);  // sched/ not consulted
   f.cluster.run();
   EXPECT_TRUE(a->done && c->done);
 }

@@ -13,12 +13,13 @@ namespace {
 TEST(Cpu, SingleProcessPaysOneSwitch) {
   Simulation sim;
   CpuResource cpu(usec(140));
+  cpu.attachMetrics(sim.metrics(), "n");
   sim.spawn("p", [&](Process& self) {
     cpu.compute(self, msec(1));
     cpu.compute(self, msec(1));  // same owner: no second switch
   });
   sim.run();
-  EXPECT_EQ(cpu.switchCount(), 1u);
+  EXPECT_EQ(sim.metrics().counterValue("n/cpu/context_switches"), 1u);
   EXPECT_EQ(sim.now(), msec(2) + usec(140));
 }
 
@@ -27,6 +28,7 @@ TEST(Cpu, PingPongChargesSwitchEachAlternation) {
   // two IsiBas alternating on one processor.
   Simulation sim;
   CpuResource cpu(usec(140));
+  cpu.attachMetrics(sim.metrics(), "n");
   constexpr int kRounds = 10;
   SimSemaphore ping(1);
   SimSemaphore pong(0);
@@ -45,19 +47,20 @@ TEST(Cpu, PingPongChargesSwitchEachAlternation) {
     }
   });
   sim.run();
-  EXPECT_EQ(cpu.switchCount(), 2u * kRounds);
+  EXPECT_EQ(sim.metrics().counterValue("n/cpu/context_switches"), 2u * kRounds);
   EXPECT_EQ(sim.now(), usec(140) * (2 * kRounds));
 }
 
 TEST(Cpu, ContentionSerializes) {
   Simulation sim;
   CpuResource cpu(kZero);
+  cpu.attachMetrics(sim.metrics(), "n");
   for (int i = 0; i < 3; ++i) {
     sim.spawn("p" + std::to_string(i), [&](Process& self) { cpu.compute(self, msec(10)); });
   }
   sim.run();
   EXPECT_EQ(sim.now(), msec(30));
-  EXPECT_EQ(cpu.busyTime(), msec(30));
+  EXPECT_EQ(sim.metrics().counterValue("n/cpu/busy_usec"), 30000u);
 }
 
 TEST(CostModel, EthernetWireTime) {

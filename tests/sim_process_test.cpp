@@ -193,26 +193,11 @@ TEST(Process, ManyProcessesScale) {
   EXPECT_EQ(sim.liveProcessCount(), 0u);
 }
 
-// ---- Lifecycle torture: every kill/unwind/timeout edge, on both engines ----
+// ---- Lifecycle torture: every kill/unwind/timeout edge ----
 //
-// The tests above run on the default engine; everything below runs twice
-// (threads and fibers) because these are exactly the paths where the two
-// context-switch mechanisms could diverge: ProcessKilled unwinding fiber
-// stacks through RAII, stale blockFor timers, kill in every process state,
-// and stack reclamation under churn (the ASan lane runs this file too).
-
-class EngineProcess : public ::testing::TestWithParam<Engine> {
- protected:
-  SimConfig cfg(std::uint64_t seed = 1) const {
-    return SimConfig{.seed = seed, .engine = GetParam()};
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Engines, EngineProcess,
-                         ::testing::Values(Engine::threads, Engine::fibers),
-                         [](const ::testing::TestParamInfo<Engine>& info) {
-                           return engineName(info.param);
-                         });
+// ProcessKilled unwinding fiber stacks through RAII, stale blockFor timers,
+// kill in every process state, and stack reclamation under churn (the ASan
+// lane runs this file too).
 
 struct UnwindTracker {
   std::vector<std::string>& log;
@@ -220,8 +205,8 @@ struct UnwindTracker {
   ~UnwindTracker() { log.push_back(name); }
 };
 
-TEST_P(EngineProcess, KillWhileBlockedUnwindsDestructorsInReverseOrder) {
-  Simulation sim(cfg());
+TEST(Process, KillWhileBlockedUnwindsDestructorsInReverseOrder) {
+  Simulation sim;
   std::vector<std::string> order;
   bool after = false;
   Process* p = nullptr;
@@ -240,10 +225,10 @@ TEST_P(EngineProcess, KillWhileBlockedUnwindsDestructorsInReverseOrder) {
   EXPECT_EQ(order, (std::vector<std::string>{"scoped", "c", "b", "a"}));
 }
 
-TEST_P(EngineProcess, KillWhileReadyUnwindsBeforeBodyContinues) {
+TEST(Process, KillWhileReadyUnwindsBeforeBodyContinues) {
   // wake() has already queued the resume (state ready) when kill() lands;
   // the resume must deliver ProcessKilled instead of continuing the body.
-  Simulation sim(cfg());
+  Simulation sim;
   bool cleaned = false;
   bool after = false;
   Process* p = nullptr;
@@ -266,11 +251,10 @@ TEST_P(EngineProcess, KillWhileReadyUnwindsBeforeBodyContinues) {
   EXPECT_FALSE(after);
 }
 
-TEST_P(EngineProcess, KillMidDelayUnwindsWhenTheDelayExpires) {
+TEST(Process, KillMidDelayUnwindsWhenTheDelayExpires) {
   // kill() during a delay() does not cut the delay short: the pending
-  // resume at expiry delivers ProcessKilled. Pins the timing contract both
-  // engines must agree on.
-  Simulation sim(cfg());
+  // resume at expiry delivers ProcessKilled. Pins that timing contract.
+  Simulation sim;
   bool cleaned = false;
   bool after = false;
   TimePoint unwound_at = kZero;
@@ -296,8 +280,8 @@ TEST_P(EngineProcess, KillMidDelayUnwindsWhenTheDelayExpires) {
   EXPECT_EQ(unwound_at, msec(100));
 }
 
-TEST_P(EngineProcess, SelfKillTakesEffectAtNextYield) {
-  Simulation sim(cfg());
+TEST(Process, SelfKillTakesEffectAtNextYield) {
+  Simulation sim;
   bool cleaned = false;
   bool after = false;
   Process* p = nullptr;
@@ -317,8 +301,8 @@ TEST_P(EngineProcess, SelfKillTakesEffectAtNextYield) {
   EXPECT_FALSE(after);
 }
 
-TEST_P(EngineProcess, KillAfterDoneIsANoop) {
-  Simulation sim(cfg());
+TEST(Process, KillAfterDoneIsANoop) {
+  Simulation sim;
   auto& p = sim.spawn("quick", [] {});
   sim.run();
   EXPECT_TRUE(p.done());
@@ -336,8 +320,8 @@ TEST_P(EngineProcess, KillAfterDoneIsANoop) {
 // token is current. These tests pin the token mechanics that back the
 // contract in process.hpp.
 
-TEST_P(EngineProcess, StaleTimerCannotWakeALaterBlock) {
-  Simulation sim(cfg());
+TEST(Process, StaleTimerCannotWakeALaterBlock) {
+  Simulation sim;
   std::vector<double> block_woke_at;
   bool woken_early = false;
   Process* p = nullptr;
@@ -354,8 +338,8 @@ TEST_P(EngineProcess, StaleTimerCannotWakeALaterBlock) {
   EXPECT_EQ(block_woke_at[0], 200.0);
 }
 
-TEST_P(EngineProcess, StaleTimerCannotForgeTimeoutOfALaterBlockFor) {
-  Simulation sim(cfg());
+TEST(Process, StaleTimerCannotForgeTimeoutOfALaterBlockFor) {
+  Simulation sim;
   bool first = false;
   bool second = true;
   double second_done_at = 0;
@@ -372,8 +356,8 @@ TEST_P(EngineProcess, StaleTimerCannotForgeTimeoutOfALaterBlockFor) {
   EXPECT_EQ(second_done_at, 110.0);      // ...at its own deadline, not the stale one
 }
 
-TEST_P(EngineProcess, BackToBackBlockForsEachConsumeTheirOwnTimer) {
-  Simulation sim(cfg());
+TEST(Process, BackToBackBlockForsEachConsumeTheirOwnTimer) {
+  Simulation sim;
   int timeouts = 0;
   Process* p = nullptr;
   p = &sim.spawn("p", [&] {
@@ -388,8 +372,8 @@ TEST_P(EngineProcess, BackToBackBlockForsEachConsumeTheirOwnTimer) {
 
 // ---- Nested creation ----
 
-TEST_P(EngineProcess, NestedSpawnThreeGenerationsDeep) {
-  Simulation sim(cfg());
+TEST(Process, NestedSpawnThreeGenerationsDeep) {
+  Simulation sim;
   std::vector<std::string> log;
   sim.spawn("parent", [&](Process& parent) {
     log.push_back("parent@" + std::to_string(toMillis(sim.now())));
@@ -411,23 +395,6 @@ TEST_P(EngineProcess, NestedSpawnThreeGenerationsDeep) {
   EXPECT_EQ(sim.liveProcessCount(), 0u);
 }
 
-TEST_P(EngineProcess, ShutdownKillsBlockedProcesses) {
-  bool cleaned = false;
-  {
-    Simulation sim(cfg());
-    sim.spawn("blocked-forever", [&](Process& self) {
-      struct Raii {
-        bool& flag;
-        ~Raii() { flag = true; }
-      } raii{cleaned};
-      self.block();
-    });
-    sim.run();
-    EXPECT_EQ(sim.liveProcessCount(), 1u);
-  }  // destructor must tear the process down cleanly on either engine
-  EXPECT_TRUE(cleaned);
-}
-
 // ---- Create/kill soak: 10k processes in waves ----
 //
 // Half of each wave runs to completion, half blocks and is killed while
@@ -435,8 +402,8 @@ TEST_P(EngineProcess, ShutdownKillsBlockedProcesses) {
 // lane this is what catches fiber-stack leaks or use-after-free on the
 // reclaimed stacks.
 
-TEST_P(EngineProcess, TenThousandProcessCreateKillSoak) {
-  Simulation sim(cfg());
+TEST(Process, TenThousandProcessCreateKillSoak) {
+  Simulation sim;
   const int kWaves = 20;
   const int kPerWave = 500;  // 250 runners + 250 blockers
   int completed = 0;

@@ -14,6 +14,11 @@ struct StoreFixture {
   sim::CostModel cost;
   DiskStore store{100, cost, /*cache=*/4};
 
+  StoreFixture() { store.attachMetrics(sim.metrics(), "ds"); }
+  std::uint64_t counter(const std::string& name) const {
+    return sim.metrics().counterValue("ds/" + name);
+  }
+
   // Run fn inside a process and drain the simulation.
   void run(std::function<void(sim::Process&)> fn) {
     sim.spawn("driver", std::move(fn));
@@ -44,7 +49,7 @@ TEST(DiskStore, UnwrittenPagesReadZeroWithoutDiskIo) {
     ASSERT_TRUE(written.ok());
     EXPECT_FALSE(written.value());
     EXPECT_EQ(buf[0], std::byte{0});
-    EXPECT_EQ(f.store.diskReads(), 0u);
+    EXPECT_EQ(f.counter("disk/reads"), 0u);
     EXPECT_EQ(f.sim.now(), sim::kZero);  // no mechanical delay
   });
 }
@@ -60,8 +65,8 @@ TEST(DiskStore, WriteThenReadBackWithDiskCosts) {
     EXPECT_TRUE(written.value());
     EXPECT_EQ(buf[100], std::byte{0xab});
     // The read hit the buffer cache (just written): one disk write, no read.
-    EXPECT_EQ(f.store.diskWrites(), 1u);
-    EXPECT_EQ(f.store.diskReads(), 0u);
+    EXPECT_EQ(f.counter("disk/writes"), 1u);
+    EXPECT_EQ(f.counter("disk/reads"), 0u);
   });
 }
 
@@ -75,7 +80,7 @@ TEST(DiskStore, BufferCacheMissPaysSeek) {
     Bytes buf(ra::kPageSize);
     ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());
     EXPECT_EQ(f.sim.now() - before, f.cost.disk_seek_rotate + f.cost.disk_per_page);
-    EXPECT_EQ(f.store.diskReads(), 1u);
+    EXPECT_EQ(f.counter("disk/reads"), 1u);
   });
 }
 
@@ -88,9 +93,9 @@ TEST(DiskStore, CacheEvictsLru) {
           f.store.writePage(self, {name, p}, StoreFixture::page(std::byte{0x11})).ok());
     }
     Bytes buf(ra::kPageSize);
-    const auto reads_before = f.store.diskReads();
+    const auto reads_before = f.counter("disk/reads");
     ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());  // evicted: page 0 re-read
-    EXPECT_EQ(f.store.diskReads(), reads_before + 1);
+    EXPECT_EQ(f.counter("disk/reads"), reads_before + 1);
   });
 }
 
@@ -101,18 +106,18 @@ TEST(DiskStore, CacheCountersTrackHitsMissesEvictions) {
     for (std::uint32_t p = 0; p < 5; ++p) {
       ASSERT_TRUE(f.store.writePage(self, {name, p}, StoreFixture::page(std::byte{1})).ok());
     }
-    EXPECT_EQ(f.store.cacheEvictions(), 1u);  // page 0 fell out when page 4 arrived
+    EXPECT_EQ(f.counter("store/cache_evictions"), 1u);  // page 0 fell out when page 4 arrived
     Bytes buf(ra::kPageSize);
     ASSERT_TRUE(f.store.readPage(self, {name, 4}, buf).ok());  // resident
-    EXPECT_EQ(f.store.cacheHits(), 1u);
-    EXPECT_EQ(f.store.cacheMisses(), 0u);
+    EXPECT_EQ(f.counter("store/cache_hits"), 1u);
+    EXPECT_EQ(f.counter("store/cache_misses"), 0u);
     ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());  // was evicted
-    EXPECT_EQ(f.store.cacheMisses(), 1u);
-    EXPECT_EQ(f.store.cacheEvictions(), 2u);  // page 1 is the LRU victim now
+    EXPECT_EQ(f.counter("store/cache_misses"), 1u);
+    EXPECT_EQ(f.counter("store/cache_evictions"), 2u);  // page 1 is the LRU victim now
     // The hit refreshed recency, so page 4 must still be resident.
-    const auto reads = f.store.diskReads();
+    const auto reads = f.counter("disk/reads");
     ASSERT_TRUE(f.store.readPage(self, {name, 4}, buf).ok());
-    EXPECT_EQ(f.store.diskReads(), reads);
+    EXPECT_EQ(f.counter("disk/reads"), reads);
   });
 }
 

@@ -48,6 +48,11 @@ struct WalFixture {
   sim::CostModel cost;
   DiskStore store{100, cost, /*cache=*/8, StoreEngine::wal};
 
+  WalFixture() { store.attachMetrics(sim.metrics(), "ds"); }
+  std::uint64_t counter(const std::string& name) const {
+    return sim.metrics().counterValue("ds/" + name);
+  }
+
   void run(std::function<void(sim::Process&)> fn) {
     sim.spawn("driver", std::move(fn));
     sim.run();
@@ -64,9 +69,9 @@ TEST(WalStore, CommittedWritesVisibleBeforeWriteBack) {
   f.run([&](sim::Process& self) {
     ASSERT_TRUE(f.store.writePage(self, {name, 1}, page(std::byte{0xab})).ok());
     // Durable in the log, not yet in the segment image.
-    EXPECT_EQ(f.store.walForces(), 1u);
+    EXPECT_EQ(f.counter("wal/forces"), 1u);
     EXPECT_EQ(f.store.dirtyPageCount(), 1u);
-    EXPECT_EQ(f.store.diskWrites(), 0u);
+    EXPECT_EQ(f.counter("disk/writes"), 0u);
     Bytes buf(ra::kPageSize);
     auto written = f.store.readPage(self, {name, 1}, buf);
     ASSERT_TRUE(written.ok());
@@ -77,7 +82,7 @@ TEST(WalStore, CommittedWritesVisibleBeforeWriteBack) {
     ASSERT_TRUE(applied.ok());
     EXPECT_EQ(applied.value(), 1u);
     EXPECT_EQ(f.store.dirtyPageCount(), 0u);
-    EXPECT_EQ(f.store.diskWrites(), 1u);
+    EXPECT_EQ(f.counter("disk/writes"), 1u);
     EXPECT_GT(f.store.walAppliedLsn(), 0u);
     EXPECT_NE(f.store.walCheckpointHash(), 0u);
     ASSERT_TRUE(f.store.readPage(self, {name, 1}, buf).ok());
@@ -95,6 +100,7 @@ sim::Duration runConcurrentCommitters(StoreEngine engine, std::uint64_t* forces_
   sim::Simulation sim{11};
   sim::CostModel cost;
   DiskStore store{100, cost, /*cache=*/64, engine};
+  store.attachMetrics(sim.metrics(), "ds");
   auto name = store.createSegment(16 * ra::kPageSize).value();
   constexpr std::uint32_t kWriters = 16;
   constexpr std::uint32_t kTxnsEach = 4;
@@ -111,7 +117,7 @@ sim::Duration runConcurrentCommitters(StoreEngine engine, std::uint64_t* forces_
   }
   sim.run();
   const sim::Duration elapsed = sim.now() - sim::TimePoint{};
-  if (forces_out != nullptr) *forces_out = store.walForces();
+  if (forces_out != nullptr) *forces_out = sim.metrics().counterValue("ds/wal/forces");
   // Every commit must be durable and readable regardless of engine.
   sim.spawn("audit", [&store, name](sim::Process& self) {
     for (std::uint32_t w = 0; w < kWriters; ++w) {
@@ -258,8 +264,8 @@ TEST(WalStore, CheckpointTruncatesButUndecidedPreparePins) {
     }
     // 18 page writes and 3 checkpoints went through the log, yet only the
     // undecided prepare and the newest checkpoint record remain.
-    EXPECT_GT(f.store.walTruncatedRecords(), 0u);
-    EXPECT_GE(f.store.walCheckpoints(), 3u);
+    EXPECT_GT(f.counter("wal/records_truncated"), 0u);
+    EXPECT_GE(f.counter("wal/checkpoints"), 3u);
     EXPECT_LE(f.store.walRecordCount(), 4u);
 
     f.store.loseVolatileState();
@@ -283,8 +289,8 @@ TEST(WalStore, BackgroundFlusherDrainsAndCheckpoints) {
     self.delay(f.cost.wal_writeback_interval * 4);
   });
   EXPECT_EQ(f.store.dirtyPageCount(), 0u);
-  EXPECT_GE(f.store.walCheckpoints(), 1u);
-  EXPECT_EQ(f.store.walPagesWrittenBack(), 4u);
+  EXPECT_GE(f.counter("wal/checkpoints"), 1u);
+  EXPECT_EQ(f.counter("wal/pages_written_back"), 4u);
   // Everything the flusher applied still reads back after a reboot.
   f.run([&](sim::Process& self) {
     f.store.loseVolatileState();
@@ -600,6 +606,7 @@ TEST_P(WalCrashReplaySweep, AcknowledgedStateSurvivesRandomCrashes) {
   sim::Simulation sim{seed};
   sim::CostModel cost;
   DiskStore store{100, cost, /*cache=*/16, StoreEngine::wal};
+  store.attachMetrics(sim.metrics(), "ds");
   store.startFlusher(sim);
   auto name = store.createSegment(8 * ra::kPageSize).value();
   constexpr std::uint32_t kPages = 8;
@@ -742,7 +749,7 @@ TEST_P(WalCrashReplaySweep, AcknowledgedStateSurvivesRandomCrashes) {
   });
   sim.run();
   EXPECT_GT(crashes, 0u) << "the sweep never crashed — weaken the schedule odds";
-  EXPECT_GE(store.walCheckpoints(), 1u);
+  EXPECT_GE(sim.metrics().counterValue("ds/wal/checkpoints"), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WalCrashReplaySweep, ::testing::Values(3, 1010, 777777));
