@@ -395,6 +395,25 @@ TEST(Process, NestedSpawnThreeGenerationsDeep) {
   EXPECT_EQ(sim.liveProcessCount(), 0u);
 }
 
+// ---- Shutdown ----
+
+TEST(Process, ShutdownKillsSelfBlockedProcesses) {
+  bool cleaned = false;
+  {
+    Simulation sim;
+    sim.spawn("blocked-forever", [&](Process& self) {
+      struct Raii {
+        bool& flag;
+        ~Raii() { flag = true; }
+      } raii{cleaned};
+      self.block();
+    });
+    sim.run();
+    EXPECT_EQ(sim.liveProcessCount(), 1u);
+  }  // destructor must tear the process down cleanly
+  EXPECT_TRUE(cleaned);
+}
+
 // ---- Create/kill soak: 10k processes in waves ----
 //
 // Half of each wave runs to completion, half blocks and is killed while
