@@ -21,7 +21,6 @@ void CpuResource::attachMetrics(MetricsRegistry& metrics, const std::string& pre
 
 void CpuResource::compute(Process& self, Duration work) {
   Duration remaining = work;
-  bool first = true;
   do {
     SimLockGuard guard(mu_, self);
     Duration slice = std::min(remaining, kQuantum);
@@ -33,9 +32,7 @@ void CpuResource::compute(Process& self, Duration work) {
     *m_busy_usec_ += static_cast<std::uint64_t>(slice.count() / 1000);
     if (slice > kZero) self.delay(slice);
     remaining -= std::min(remaining, kQuantum);
-    first = false;
   } while (remaining > kZero);
-  (void)first;
 }
 
 }  // namespace clouds::sim

@@ -10,6 +10,7 @@
 #include "sim/config.hpp"  // CLOUDS_SIM_ASAN
 
 #if CLOUDS_SIM_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -73,7 +74,12 @@ extern "C" void clouds_fiber_switch(void** save_sp, void* load_sp);
 
 #endif  // __x86_64__
 
-Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg) : entry_(entry), arg_(arg) {
+StackPool::~StackPool() {
+  for (const Region& r : free_) munmap(r.base, r.bytes);
+}
+
+Fiber::Fiber(StackPool& pool, std::size_t stack_bytes, Entry entry, void* arg)
+    : pool_(&pool), entry_(entry), arg_(arg) {
   const std::size_t page = pageSize();
   const std::size_t stack = ((stack_bytes + page - 1) / page) * page;
   // Guard region below the stack: PROT_NONE virtual space, so it costs no
@@ -83,15 +89,26 @@ Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg) : entry_(entry), a
   // whatever mapping sits below (often another fiber's stack).
   const std::size_t guard = ((std::size_t{256} << 10) + page - 1) / page * page;
   alloc_bytes_ = stack + guard;
-  alloc_ = mmap(nullptr, alloc_bytes_, PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
-  if (alloc_ == MAP_FAILED) {
-    std::perror("fiber stack mmap");
-    std::abort();
-  }
-  if (mprotect(alloc_, guard, PROT_NONE) != 0) {
-    std::perror("fiber guard mprotect");
-    std::abort();
+  if (!pool.free_.empty() && pool.free_.back().bytes == alloc_bytes_) {
+    // A pooled region still has its guard; only its stack contents are stale.
+    alloc_ = pool.free_.back().base;
+    pool.free_.pop_back();
+#if CLOUDS_SIM_ASAN
+    // The fiber that last ran here exited with live frames, whose redzones
+    // are still poisoned in the shadow.
+    ASAN_UNPOISON_MEMORY_REGION(static_cast<unsigned char*>(alloc_) + guard, stack);
+#endif
+  } else {
+    alloc_ = mmap(nullptr, alloc_bytes_, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (alloc_ == MAP_FAILED) {
+      std::perror("fiber stack mmap");
+      std::abort();
+    }
+    if (mprotect(alloc_, guard, PROT_NONE) != 0) {
+      std::perror("fiber guard mprotect");
+      std::abort();
+    }
   }
   unsigned char* bottom = static_cast<unsigned char*>(alloc_) + guard;
   asan_bottom_ = bottom;
@@ -126,7 +143,7 @@ Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg) : entry_(entry), a
 }
 
 Fiber::~Fiber() {
-  if (alloc_ != nullptr) munmap(alloc_, alloc_bytes_);
+  if (alloc_ != nullptr) pool_->free_.push_back(StackPool::Region{alloc_, alloc_bytes_});
 }
 
 void Fiber::beginSwitch(Fiber& to, bool exiting) {

@@ -14,18 +14,40 @@
 // run the simulation with detect_stack_use_after_return enabled.
 //
 // Stacks are reserved lazily (MAP_NORESERVE; pages commit on first touch)
-// with a PROT_NONE guard page below, so overflow faults deterministically
-// instead of corrupting a neighbour.
+// with a PROT_NONE guard region below, so overflow faults deterministically
+// instead of corrupting a neighbour. A destroyed fiber's region, guard
+// intact, goes back to the StackPool it came from, and the next fiber of
+// that pool reuses it instead of mapping a fresh one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #if !defined(__x86_64__)
 #include <ucontext.h>
 #endif
 
 namespace clouds::sim {
+
+// Free list of fiber stack regions (guard + stack), owned by one Simulation.
+// It holds at most the owner's peak count of live fibers; destroying it
+// unmaps every pooled region, so it must outlive the fibers it serves.
+class StackPool {
+ public:
+  StackPool() = default;
+  ~StackPool();
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+
+ private:
+  friend class Fiber;
+  struct Region {
+    void* base;
+    std::size_t bytes;
+  };
+  std::vector<Region> free_;
+};
 
 class Fiber {
  public:
@@ -37,8 +59,10 @@ class Fiber {
 
   // Create a suspended fiber that will run entry(arg) on its own stack the
   // first time something switches to it. entry must never return: it ends
-  // by calling exitTo() (or suspends forever via switchTo()).
-  Fiber(std::size_t stack_bytes, Entry entry, void* arg);
+  // by calling exitTo() (or suspends forever via switchTo()). The stack
+  // comes from `pool` when it holds a region of the right size, and goes
+  // back to it when the fiber is destroyed.
+  Fiber(StackPool& pool, std::size_t stack_bytes, Entry entry, void* arg);
 
   ~Fiber();
   Fiber(const Fiber&) = delete;
@@ -52,6 +76,10 @@ class Fiber {
   // never resumed again and its stack may be freed once `to` is running.
   [[noreturn]] void exitTo(Fiber& to);
 
+  // Lowest usable byte of a created fiber's stack; the guard region ends
+  // just below it. Null for an adopted context.
+  const void* stackBottom() const noexcept { return alloc_ == nullptr ? nullptr : asan_bottom_; }
+
  private:
   static void finishEnter();
   [[noreturn]] static void launch();
@@ -62,7 +90,8 @@ class Fiber {
 #else
   ucontext_t ctx_{};
 #endif
-  void* alloc_ = nullptr;        // mmap base (guard page + stack); null if adopted
+  StackPool* pool_ = nullptr;    // where the region returns; null if adopted
+  void* alloc_ = nullptr;        // region base (guard + stack); null if adopted
   std::size_t alloc_bytes_ = 0;
   Entry entry_ = nullptr;
   void* arg_ = nullptr;

@@ -65,20 +65,29 @@ void Process::resumeNow() {
   ++*sim_.process_resumes_;
   if (!fiber_) {
     fiber_ = std::make_unique<Fiber>(
-        sim_.config().fiber_stack_bytes,
+        sim_.stacks_, sim_.config().fiber_stack_bytes,
         [](void* self) { static_cast<Process*>(self)->fiberMain(); }, this);
   }
   state_ = State::running;
   sim_.sched_ctx_.switchTo(*fiber_);  // returns once the process yields
-  if (done()) fiber_.reset();         // free the stack as soon as it finishes
+  if (done()) fiber_.reset();         // pool the stack as soon as it finishes
 }
 
 void Process::queueResume(Duration d) {
   resume_queued_ = true;
-  sim_.schedule(d, [this] {
-    resume_queued_ = false;
-    if (!done()) resumeNow();
-  });
+  sim_.push(d, this, 0, Simulation::EventKind::resume, false);
+}
+
+void Process::onResumeEvent() {
+  resume_queued_ = false;
+  if (!done()) resumeNow();
+}
+
+void Process::onTimeoutEvent(std::uint64_t token) {
+  if (state_ != State::blocked || block_token_ != token || resume_queued_) return;
+  timed_out_ = true;
+  ++block_token_;  // a timer fires at most once
+  resumeNow();
 }
 
 void Process::scheduleResume() {
@@ -104,12 +113,7 @@ bool Process::blockFor(Duration timeout) {
   throwIfKilled();
   const std::uint64_t token = ++block_token_;
   timed_out_ = false;
-  sim_.schedule(timeout, [this, token] {
-    if (state_ != State::blocked || block_token_ != token || resume_queued_) return;
-    timed_out_ = true;
-    ++block_token_;  // a timer fires at most once
-    resumeNow();
-  });
+  sim_.push(timeout, this, token, Simulation::EventKind::timeout, false);
   yield(State::blocked);
   const bool woken = !timed_out_;
   timed_out_ = false;

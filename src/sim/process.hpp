@@ -92,6 +92,11 @@ class Process {
   void scheduleResume();
   // Queue the resume event d from now (marks it pending until it fires).
   void queueResume(Duration d);
+  // Event handlers for the two typed events a process queues for itself
+  // (Simulation::dispatch): a queued resume, and a blockFor timer armed
+  // while block_token_ was `token`.
+  void onResumeEvent();
+  void onTimeoutEvent(std::uint64_t token);
 
   Simulation& sim_;
   std::uint64_t id_;

@@ -1,5 +1,6 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -17,14 +18,51 @@ Simulation::Simulation(const SimConfig& config) : config_(config), rng_(config.s
 Simulation::~Simulation() { shutdownProcesses(); }
 
 void Simulation::schedule(Duration delay, std::function<void()> fn) {
-  if (delay < kZero) throw std::invalid_argument("Simulation::schedule: negative delay");
-  queue_.push(Event{now_ + delay, next_seq_++, false, std::move(fn)});
-  ++live_events_;
+  pushClosure(delay, std::move(fn), false);
 }
 
 void Simulation::scheduleDaemon(Duration delay, std::function<void()> fn) {
-  if (delay < kZero) throw std::invalid_argument("Simulation::scheduleDaemon: negative delay");
-  queue_.push(Event{now_ + delay, next_seq_++, true, std::move(fn)});
+  pushClosure(delay, std::move(fn), true);
+}
+
+void Simulation::push(Duration delay, Process* proc, std::uint64_t arg, EventKind kind,
+                      bool daemon) {
+  if (delay < kZero) throw std::invalid_argument("Simulation: negative event delay");
+  queue_.push_back(Event{now_ + delay, next_seq_++, proc, arg, kind, daemon});
+  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+  if (!daemon) ++live_events_;
+}
+
+void Simulation::pushClosure(Duration delay, std::function<void()> fn, bool daemon) {
+  const auto slot = static_cast<std::uint32_t>(free_closures_.empty() ? closures_.size()
+                                                                      : free_closures_.back());
+  push(delay, nullptr, slot, EventKind::fn, daemon);  // throws before the slot is taken
+  if (slot == closures_.size()) {
+    closures_.push_back(std::move(fn));
+  } else {
+    free_closures_.pop_back();
+    closures_[slot] = std::move(fn);
+  }
+}
+
+void Simulation::dispatch(const Event& e) {
+  switch (e.kind) {
+    case EventKind::resume:
+      e.proc->onResumeEvent();
+      break;
+    case EventKind::timeout:
+      e.proc->onTimeoutEvent(e.arg);
+      break;
+    case EventKind::fn: {
+      // Move the closure out and free its slot first: the closure may
+      // schedule more, which can reuse the slot or grow closures_.
+      auto fn = std::move(closures_[e.arg]);
+      closures_[e.arg] = nullptr;
+      free_closures_.push_back(static_cast<std::uint32_t>(e.arg));
+      fn();
+      break;
+    }
+  }
 }
 
 Process& Simulation::spawn(std::string name, std::function<void()> body) {
@@ -57,14 +95,14 @@ std::size_t Simulation::runUntil(TimePoint horizon, bool bounded) {
     // (periodic gossip ticks, ...) remains, it would spin forever, so stop
     // and leave the daemon events queued for the next bounded run.
     if (!bounded && live_events_ == 0) break;
-    const Event& top = queue_.top();
-    if (bounded && top.at > horizon) break;
-    assert(top.at >= now_);
-    now_ = top.at;
-    if (!top.daemon) --live_events_;
-    auto fn = std::move(const_cast<Event&>(top).fn);
-    queue_.pop();
-    fn();
+    if (bounded && queue_.front().at > horizon) break;
+    std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+    const Event e = queue_.back();
+    queue_.pop_back();
+    assert(e.at >= now_);
+    now_ = e.at;
+    if (!e.daemon) --live_events_;
+    dispatch(e);
     ++executed;
     ++*events_executed_;
   }

@@ -1,15 +1,15 @@
 // The discrete-event simulation driving a Clouds cluster.
 //
 // One Simulation owns the virtual clock, the event queue, every Process,
-// the seeded random stream, and the trace sink. Events at equal timestamps
-// execute in insertion order, which — together with the one-runner process
-// handshake — makes runs deterministic for a given seed.
+// the pool of recycled fiber stacks, the seeded random stream, and the trace
+// sink. Events at equal timestamps execute in insertion order, which —
+// together with the one-runner process handshake — makes runs deterministic
+// for a given seed.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <random>
 #include <string>
 #include <vector>
@@ -77,11 +77,21 @@ class Simulation {
  private:
   friend class Process;
 
+  // A queued event is plain data (docs/SIMCORE.md): process resumes and
+  // blockFor timeouts name their process directly, and only scheduled
+  // closures go through a slot in closures_.
+  enum class EventKind : std::uint8_t {
+    resume,   // proc->onResumeEvent()
+    timeout,  // proc->onTimeoutEvent(arg), arg = the armed block token
+    fn,       // closures_[arg]()
+  };
   struct Event {
     TimePoint at;
     std::uint64_t seq;
+    Process* proc;
+    std::uint64_t arg;
+    EventKind kind;
     bool daemon;
-    std::function<void()> fn;
   };
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -90,6 +100,10 @@ class Simulation {
     }
   };
 
+  // Both throw std::invalid_argument on a negative delay.
+  void push(Duration delay, Process* proc, std::uint64_t arg, EventKind kind, bool daemon);
+  void pushClosure(Duration delay, std::function<void()> fn, bool daemon);
+  void dispatch(const Event& e);
   std::size_t runUntil(TimePoint horizon, bool bounded);
   void shutdownProcesses();
 
@@ -103,7 +117,14 @@ class Simulation {
   bool stopped_ = false;
   bool running_ = false;
   std::size_t live_events_ = 0;  // queued non-daemon events
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::vector<Event> queue_;     // binary heap under EventLater
+  // Closures of queued fn events, by slot; a fired slot's index goes on
+  // free_closures_ for the next schedule() to reuse.
+  std::vector<std::function<void()>> closures_;
+  std::vector<std::uint32_t> free_closures_;
+  // Declared before processes_ so it outlives every Fiber that returns a
+  // stack to it.
+  StackPool stacks_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::mt19937_64 rng_;
   TraceSink trace_;

@@ -1,5 +1,7 @@
 #include "store/checkpoint.hpp"
 
+#include <bit>
+#include <cstring>
 #include <limits>
 
 namespace clouds::store::wal {
@@ -51,20 +53,63 @@ void DirtyTable::purgeBeyond(const Sysname& segment, ra::PageIndex page_count) {
   }
 }
 
+namespace {
+
+// XXH64's primes and lane round.
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+constexpr std::uint64_t rotl(std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+constexpr std::uint64_t xxRound(std::uint64_t acc, std::uint64_t in) {
+  return rotl(acc + in * kP2, 31) * kP1;
+}
+constexpr std::uint64_t xxMerge(std::uint64_t h, std::uint64_t lane) {
+  return (h ^ xxRound(0, lane)) * kP1 + kP4;
+}
+
+std::uint64_t loadLe(const std::byte* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+  return v;
+}
+
+}  // namespace
+
+// XXH64 seeded with prev over a 32-byte header stripe (segment hi/lo, page,
+// image length) followed by the image: four independent multiply-rotate
+// lanes take one 8-byte word each per step, then merge and avalanche.
 std::uint64_t chainHash(std::uint64_t prev, const ra::PageKey& key, ByteSpan data) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = prev ^ 14695981039346656037ull;
-  auto mix = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (i * 8)) & 0xff)) * kPrime;
-    }
-  };
-  mix(key.segment.hi());
-  mix(key.segment.lo());
-  mix(key.page);
-  for (const std::byte b : data) {
-    h = (h ^ static_cast<std::uint64_t>(b)) * kPrime;
+  std::uint64_t v[4] = {prev + kP1 + kP2, prev + kP2, prev, prev - kP1};
+  v[0] = xxRound(v[0], key.segment.hi());
+  v[1] = xxRound(v[1], key.segment.lo());
+  v[2] = xxRound(v[2], key.page);
+  v[3] = xxRound(v[3], data.size());
+  const std::byte* p = data.data();
+  const std::byte* const end = p + data.size();
+  for (; end - p >= 32; p += 32) {
+    for (int i = 0; i < 4; ++i) v[i] = xxRound(v[i], loadLe(p + 8 * i));
   }
+  std::uint64_t h = rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) + rotl(v[3], 18);
+  for (const std::uint64_t lane : v) h = xxMerge(h, lane);
+  h += 32 + data.size();
+  for (; end - p >= 8; p += 8) h = rotl(h ^ xxRound(0, loadLe(p)), 27) * kP1 + kP4;
+  if (end - p >= 4) {
+    std::uint32_t w;
+    std::memcpy(&w, p, sizeof w);
+    if constexpr (std::endian::native == std::endian::big) w = __builtin_bswap32(w);
+    h = rotl(h ^ (std::uint64_t{w} * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = rotl(h ^ (static_cast<std::uint64_t>(*p) * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
   return h;
 }
 

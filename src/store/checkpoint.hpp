@@ -7,9 +7,10 @@
 // writes), and repeated writes to a hot page coalesce — only the newest
 // image is ever written back.
 //
-// Checkpoints are content-addressed: every write-back sweep chains an
-// FNV-1a hash of the images it applied onto the previous checkpoint's hash,
-// so a checkpoint record names the exact image state it certifies.
+// Checkpoints are content-addressed: every write-back sweep chains a hash
+// of the images it applied onto the previous checkpoint's hash, so a
+// checkpoint record names the exact image state it certifies. The hash is
+// a name, not a checksum: nothing re-reads the images to verify it.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +60,8 @@ class DirtyTable {
   std::map<ra::PageKey, DirtyPage> pages_;
 };
 
-// Chained checkpoint content hash (FNV-1a over key + image bytes).
+// Chained checkpoint content hash: XXH64 seeded with prev over the page key
+// and every image byte.
 std::uint64_t chainHash(std::uint64_t prev, const ra::PageKey& key, ByteSpan data);
 
 }  // namespace clouds::store::wal

@@ -312,23 +312,23 @@ Result<void> DiskStore::commitPrepared(sim::Process& self, std::uint64_t txid) {
   }
   auto it = prepared_lsn_.find(txid);
   if (it == prepared_lsn_.end()) return okResult();  // idempotent retransmit
-  const wal::Record* prep = log_.findPrepare(txid);
+  const wal::Record* prep = log_.findPrepare(txid, it->second);
   if (prep == nullptr) {
     prepared_lsn_.erase(it);
     return okResult();
   }
-  // Copy out of the log: append() below may reallocate the record vector.
-  const std::vector<PageUpdate> updates = prep->updates;
   // The segment may have been destroyed or shrunk since prepare; surface the
   // same error the flat engine's commit-time page writes would.
-  for (const PageUpdate& u : updates) CLOUDS_TRY(validateUpdate(u.key, u.data.size()));
+  for (const PageUpdate& u : prep->updates) CLOUDS_TRY(validateUpdate(u.key, u.data.size()));
+  // append() may reallocate the record vector: re-index the prepare after it.
+  const std::size_t prep_index = static_cast<std::size_t>(prep - log_.records().data());
   wal::Record c;
   c.kind = wal::RecordKind::commit;
   c.txid = txid;
   const std::uint64_t lsn = log_.append(std::move(c));
   ++*m_wal_records_;
-  for (const PageUpdate& u : updates) dirty_.stage(u.key, u.data, lsn);
-  prepared_lsn_.erase(txid);
+  for (const PageUpdate& u : log_.records()[prep_index].updates) dirty_.stage(u.key, u.data, lsn);
+  prepared_lsn_.erase(it);
   return forceLog(self, lsn);
 }
 
@@ -358,8 +358,9 @@ Result<void> DiskStore::abortPrepared(sim::Process& self, std::uint64_t txid) {
 std::vector<ra::PageKey> DiskStore::preparedKeys(std::uint64_t txid) const {
   std::vector<ra::PageKey> out;
   if (engine_ == StoreEngine::wal) {
-    if (prepared_lsn_.count(txid) == 0) return out;
-    const wal::Record* prep = log_.findPrepare(txid);
+    auto it = prepared_lsn_.find(txid);
+    if (it == prepared_lsn_.end()) return out;
+    const wal::Record* prep = log_.findPrepare(txid, it->second);
     if (prep == nullptr) return out;
     out.reserve(prep->updates.size());
     for (const auto& u : prep->updates) out.push_back(u.key);
@@ -658,7 +659,7 @@ Result<void> DiskStore::saveTo(const std::string& path) const {
   std::vector<std::pair<std::uint64_t, std::vector<PageUpdate>>> txns;
   if (engine_ == StoreEngine::wal) {
     for (const auto& [txid, lsn] : prepared_lsn_) {
-      const wal::Record* prep = log_.findPrepare(txid);
+      const wal::Record* prep = log_.findPrepare(txid, lsn);
       if (prep != nullptr && prep->lsn <= log_.durableLsn()) {
         txns.emplace_back(txid, prep->updates);
       }

@@ -19,12 +19,14 @@ std::size_t Log::payloadPagesBetween(std::uint64_t after, std::uint64_t upto) co
   return pages;
 }
 
-const Record* Log::findPrepare(std::uint64_t txid) const {
-  const Record* found = nullptr;
-  for (const Record& r : records_) {
-    if (r.kind == RecordKind::prepare && r.txid == txid) found = &r;
+const Record* Log::findPrepare(std::uint64_t txid, std::uint64_t lsn) const {
+  auto it = std::lower_bound(records_.begin(), records_.end(), lsn,
+                             [](const Record& r, std::uint64_t l) { return r.lsn < l; });
+  if (it == records_.end() || it->lsn != lsn || it->kind != RecordKind::prepare ||
+      it->txid != txid) {
+    return nullptr;
   }
-  return found;
+  return &*it;
 }
 
 std::size_t Log::crash(std::size_t keep_tail) {

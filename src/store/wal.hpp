@@ -82,8 +82,10 @@ class Log {
   // batch sizing).
   std::size_t payloadPagesBetween(std::uint64_t after, std::uint64_t upto) const;
 
-  // The prepare record of txid, or nullptr (latest wins if re-prepared).
-  const Record* findPrepare(std::uint64_t txid) const;
+  // The prepare record of txid at lsn (the one DiskStore's prepared_lsn_
+  // holds), or nullptr if that record is gone. Binary search: records_ is
+  // in ascending lsn.
+  const Record* findPrepare(std::uint64_t txid, std::uint64_t lsn) const;
 
   // Crash: the unforced tail is lost. keep_tail > 0 models a force batch
   // that was partially persisted — that many tail records survive (prefix

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "sim/fiber.hpp"
 #include "sim/simulation.hpp"
 
 namespace clouds::sim {
@@ -450,6 +453,117 @@ TEST(Process, TenThousandProcessCreateKillSoak) {
   EXPECT_EQ(completed, kWaves * kPerWave / 2);
   EXPECT_EQ(unwound, kWaves * kPerWave / 2);
   EXPECT_EQ(sim.liveProcessCount(), 0u);
+}
+
+// ---- Typed events: one (at, seq) order across closures, resumes, timers ----
+
+TEST(EventQueue, ClosuresResumesAndTimersAtOneTimestampFireInInsertionOrder) {
+  Simulation sim;
+  std::vector<std::string> log;
+  auto note = [&](std::string what) {
+    EXPECT_EQ(sim.now(), msec(10));
+    log.push_back(std::move(what));
+  };
+  // Every t=10 event below is queued at t=0, in this order: fn-a (now),
+  // then, as the t=0 events run, the delayer's resume, fn-b, the timer's
+  // blockFor timeout, fn-c.
+  sim.spawn("delayer", [&](Process& self) {
+    self.delay(msec(10));
+    note("resume");
+  });
+  sim.schedule(kZero, [&] { sim.schedule(msec(10), [&] { note("fn-b"); }); });
+  sim.spawn("timer", [&](Process& self) {
+    EXPECT_FALSE(self.blockFor(msec(10)));
+    note("timeout");
+  });
+  sim.schedule(kZero, [&] { sim.schedule(msec(10), [&] { note("fn-c"); }); });
+  sim.schedule(msec(10), [&] { note("fn-a"); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"fn-a", "resume", "fn-b", "timeout", "fn-c"}));
+}
+
+TEST(EventQueue, ReusedClosureSlotNeverRunsTheOldClosure) {
+  Simulation sim;
+  int first = 0;
+  int second = 0;
+  int third = 0;
+  auto token = std::make_shared<int>(0);
+  // The first closure's slot is free while it runs, so the closure it
+  // schedules takes that same slot.
+  sim.schedule(msec(1), [&, token] {
+    ++first;
+    sim.schedule(msec(1), [&] { ++second; });
+  });
+  EXPECT_EQ(token.use_count(), 2);
+  sim.run();
+  EXPECT_EQ(token.use_count(), 1);  // a fired closure's captures are released
+  // A rejected schedule takes no slot; the next one reuses the freed slot.
+  EXPECT_THROW(sim.schedule(-usec(1), [&] { ++third; }), std::invalid_argument);
+  EXPECT_THROW(sim.scheduleDaemon(-usec(1), [&] { ++third; }), std::invalid_argument);
+  sim.schedule(msec(1), [&] { ++third; });
+  sim.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(third, 1);
+}
+
+TEST(EventQueue, NegativeProcessDelaysAreRejected) {
+  Simulation sim;
+  bool delay_threw = false;
+  bool block_for_threw = false;
+  sim.spawn("p", [&](Process& self) {
+    try {
+      self.delay(-usec(1));
+    } catch (const std::invalid_argument&) {
+      delay_threw = true;
+    }
+  });
+  sim.spawn("q", [&](Process& self) {
+    try {
+      (void)self.blockFor(-usec(1));
+    } catch (const std::invalid_argument&) {
+      block_for_threw = true;
+    }
+  });
+  sim.run();
+  EXPECT_TRUE(delay_threw);
+  EXPECT_TRUE(block_for_threw);
+}
+
+// ---- Pooled fiber stacks ----
+
+// A fiber entry that hands control straight back for good.
+struct Hop {
+  Fiber* from = nullptr;
+  Fiber* self = nullptr;
+};
+void exitAtOnce(void* arg) {
+  auto* hop = static_cast<Hop*>(arg);
+  hop->self->exitTo(*hop->from);
+}
+
+TEST(FiberStackDeathTest, RecycledStackKeepsItsGuard) {
+#if CLOUDS_SIM_ASAN
+  GTEST_SKIP() << "ASan reports the guard fault itself";
+#else
+  StackPool pool;
+  Fiber host;
+  Hop hop{&host, nullptr};
+  const void* first_bottom = nullptr;
+  {
+    Fiber first(pool, 64u << 10, &exitAtOnce, &hop);
+    hop.self = &first;
+    host.switchTo(first);
+    first_bottom = first.stackBottom();
+  }  // the region goes back to the pool
+  Fiber second(pool, 64u << 10, &exitAtOnce, &hop);
+  ASSERT_EQ(second.stackBottom(), first_bottom);  // recycled, not mapped afresh
+  volatile char* below = static_cast<char*>(const_cast<void*>(second.stackBottom())) - 1;
+  EXPECT_DEATH(*below = 1, "");
+  // The recycled stack itself still runs a fiber.
+  hop.self = &second;
+  host.switchTo(second);
+#endif
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "sim/simulation.hpp"
+#include "store/checkpoint.hpp"
 
 namespace clouds::store {
 namespace {
@@ -84,10 +85,70 @@ TEST(WalStore, CommittedWritesVisibleBeforeWriteBack) {
     EXPECT_EQ(f.store.dirtyPageCount(), 0u);
     EXPECT_EQ(f.counter("disk/writes"), 1u);
     EXPECT_GT(f.store.walAppliedLsn(), 0u);
-    EXPECT_NE(f.store.walCheckpointHash(), 0u);
     ASSERT_TRUE(f.store.readPage(self, {name, 1}, buf).ok());
     EXPECT_EQ(buf[0], std::byte{0xab});
   });
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint hash: a name for the applied image stream (not a checksum).
+// ---------------------------------------------------------------------------
+
+Bytes patterned(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
+  return b;
+}
+
+TEST(CheckpointHash, KnownAnswers) {
+  // XXH64 seeded with prev over the little-endian words (segment hi,
+  // segment lo, page, image length) followed by the image.
+  EXPECT_EQ(wal::chainHash(0, {Sysname(1, 2), 3}, patterned(ra::kPageSize)),
+            7268194590619325689ull);
+  EXPECT_EQ(wal::chainHash(0xdeadbeef, {Sysname(7, 9), 11}, patterned(ra::kPageSize)),
+            13566513806822487470ull);
+  // An odd length takes the 8-, 4- and 1-byte tail steps.
+  EXPECT_EQ(wal::chainHash(5, {Sysname(1, 1), 1}, patterned(45)), 1154477916100401864ull);
+}
+
+TEST(CheckpointHash, EveryImageBitKeyFieldAndPrevChangesIt) {
+  const ra::PageKey key{Sysname(0x1234, 0x5678), 9};
+  Bytes img = patterned(ra::kPageSize);
+  const std::uint64_t base = wal::chainHash(42, key, img);
+  for (std::size_t off = 0; off < img.size(); ++off) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      img[off] ^= static_cast<std::byte>(1u << bit);
+      if (wal::chainHash(42, key, img) == base) ADD_FAILURE() << "byte " << off << " bit " << bit;
+      img[off] ^= static_cast<std::byte>(1u << bit);
+    }
+  }
+  EXPECT_NE(wal::chainHash(42, {Sysname(0x1235, 0x5678), 9}, img), base);
+  EXPECT_NE(wal::chainHash(42, {Sysname(0x1234, 0x5679), 9}, img), base);
+  EXPECT_NE(wal::chainHash(42, {key.segment, 10}, img), base);
+  EXPECT_NE(wal::chainHash(43, key, img), base);
+}
+
+// Runs one write-back stream on a fresh wal store — three pages and a
+// sweep, then a rewrite of page 0 (tagged rewrite_tag) and a fourth page
+// and a second sweep — and returns the chained checkpoint hash.
+std::uint64_t checkpointHashAfterStream(std::uint16_t rewrite_tag) {
+  WalFixture f;
+  auto name = f.store.createSegment(4 * ra::kPageSize).value();
+  f.run([&](sim::Process& self) {
+    for (std::uint32_t pg = 0; pg < 3; ++pg) {
+      ASSERT_TRUE(f.store.writePage(self, {name, pg}, tagged(10 + pg)).ok());
+    }
+    ASSERT_EQ(f.store.writeBackSome(self, 64).value(), 3u);
+    ASSERT_TRUE(f.store.writePage(self, {name, 0}, tagged(rewrite_tag)).ok());
+    ASSERT_TRUE(f.store.writePage(self, {name, 3}, tagged(13)).ok());
+    ASSERT_EQ(f.store.writeBackSome(self, 64).value(), 2u);
+  });
+  return f.store.walCheckpointHash();
+}
+
+TEST(CheckpointHash, StoresAgreeExactlyWhenTheyAppliedTheSameImages) {
+  EXPECT_EQ(checkpointHashAfterStream(20), checkpointHashAfterStream(20));
+  EXPECT_NE(checkpointHashAfterStream(20), checkpointHashAfterStream(21));
 }
 
 // ---------------------------------------------------------------------------
