@@ -28,7 +28,7 @@ struct CombinedNode {
   net::Ethernet ether{sim, cost};
   ra::Node node{sim, cost, ether, 1, "combo",
                 ra::NodeRole::compute | ra::NodeRole::data};
-  store::DiskStore store{1, cost};
+  store::DiskStore store{1, cost, /*cache=*/256, store::StoreEngine::flat};
   dsm::DsmServer server{node, store};
   dsm::DsmClientPartition dsm{node, &server};
 };

@@ -22,7 +22,7 @@ std::uint64_t roundUpPages(std::uint64_t bytes) {
 
 // Deterministic "compiled code" bytes for a class's code segment.
 std::byte codeByte(const std::string& class_name, std::uint64_t offset) {
-  return static_cast<std::byte>(fnv1a(class_name) * 31 + offset * 0x9e3779b9ULL >> 16);
+  return static_cast<std::byte>((fnv1a(class_name) * 31 + offset * 0x9e3779b9ULL) >> 16);
 }
 
 }  // namespace
@@ -34,7 +34,7 @@ Runtime::Runtime(ra::Node& node, dsm::DsmClientPartition& dsm, ra::AnonPartition
       anon_(anon),
       classes_(classes),
       mmu_(node),
-      sync_(node, nullptr),
+      sync_(node),
       txn_(node, dsm, sync_),
       names_(node, name_server),
       io_(node) {

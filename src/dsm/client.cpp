@@ -191,11 +191,7 @@ Result<void> DsmClientPartition::sendWriteBackBatch(
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::write_back_batch));
   e.boolean(drop);
-  e.u32(static_cast<std::uint32_t>(updates.size()));
-  for (const store::PageUpdate& u : updates) {
-    encodePageKey(e, u.key);
-    e.bytes(u.data);
-  }
+  encodeUpdates(e, updates);
   CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
   Decoder d(reply);
   return decodeStatus(d, "write back batch");

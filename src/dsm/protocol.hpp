@@ -12,9 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/codec.hpp"
 #include "ra/types.hpp"
+#include "store/wal.hpp"
 
 namespace clouds::dsm {
 
@@ -64,6 +66,29 @@ inline Result<ra::PageKey> decodePageKey(Decoder& d) {
   CLOUDS_TRY_ASSIGN(seg, d.sysname());
   CLOUDS_TRY_ASSIGN(page, d.u32());
   return ra::PageKey{seg, page};
+}
+
+// A page-update list: u32 count, then count x (PageKey, page bytes). The
+// body of write_back_batch (after its drop flag) and of tx_prepare (after
+// its txid).
+inline void encodeUpdates(Encoder& e, const std::vector<store::PageUpdate>& updates) {
+  e.u32(static_cast<std::uint32_t>(updates.size()));
+  for (const store::PageUpdate& u : updates) {
+    encodePageKey(e, u.key);
+    e.bytes(u.data);
+  }
+}
+
+// Fails when fewer pages follow than the count announces.
+inline Result<std::vector<store::PageUpdate>> decodeUpdates(Decoder& d) {
+  CLOUDS_TRY_ASSIGN(count, d.u32());
+  std::vector<store::PageUpdate> updates;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    CLOUDS_TRY_ASSIGN(key, decodePageKey(d));
+    CLOUDS_TRY_ASSIGN(data, d.bytes());
+    updates.push_back(store::PageUpdate{key, std::move(data)});
+  }
+  return updates;
 }
 
 // A page grant flowing data server -> client.

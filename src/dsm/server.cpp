@@ -178,21 +178,36 @@ Result<PageGrant> DsmServer::loadGrant(sim::Process& self, const ra::PageKey& ke
   return g;
 }
 
+Result<bool> DsmServer::collectOwnerCopy(sim::Process& self, Op op, const ra::PageKey& key,
+                                         std::uint64_t version, net::NodeId owner, int attempt) {
+  // A holder may answer `busy`: its dirty copy is pinned by an open
+  // transaction and surrendering it would publish uncommitted bytes. The
+  // caller retries with the directory entry unlocked — the pin is released
+  // by the very commit/abort path that needs this entry's mutex. A holder
+  // still busy after the full patience is treated like a dead one (copy
+  // lost).
+  auto dirty = callback(self, owner, op, key, version);
+  if (!dirty.ok() && dirty.error().code == Errc::busy) {
+    if (attempt < node_.cost().dsm_callback_retries) return false;
+    node_.simulation().trace(node_.name(), "dsm",
+                             "holder of " + key.toString() + " busy past patience: copy lost");
+    dirty = Bytes{};
+  }
+  CLOUDS_TRY_ASSIGN(data, std::move(dirty));
+  if (!data.empty()) CLOUDS_TRY(store_.writePage(self, key, data));
+  return true;
+}
+
 Result<PageGrant> DsmServer::handleRead(sim::Process& self, net::NodeId client,
                                         const ra::PageKey& key) {
   ++*m_page_reads_;
   DirEntry& e = directory_[key];
-  // A holder may answer `busy`: its dirty copy is pinned by an open
-  // transaction and surrendering it would publish uncommitted bytes. Retry
-  // with the directory entry unlocked — the pin is released by the very
-  // commit/abort path that needs this entry's mutex. A holder still busy
-  // after the full patience is treated like a dead one (copy lost).
   for (int attempt = 0;; ++attempt) {
     {
       sim::SimLockGuard guard(e.mu, self);
       node_.cpu().compute(self, node_.cost().dsm_server_lookup);
       const std::uint64_t v = ++e.version;
-      bool deferred = false;
+      bool collected = true;
       if (e.state == PState::exclusive) {
         if (e.owner == client) {
           // The owner lost its frame (eviction or abort-drop): directory heals.
@@ -200,27 +215,16 @@ Result<PageGrant> DsmServer::handleRead(sim::Process& self, net::NodeId client,
           e.owner = net::kNoNode;
           e.copyset.clear();
         } else {
-          auto dirty = callback(self, e.owner, Op::degrade, key, v);
-          if (!dirty.ok() && dirty.error().code == Errc::busy) {
-            if (attempt < node_.cost().dsm_callback_retries) {
-              deferred = true;
-            } else {
-              node_.simulation().trace(node_.name(), "dsm",
-                                       "holder of " + key.toString() +
-                                           " busy past patience: copy lost");
-              dirty = Bytes{};
-            }
-          }
-          if (!deferred) {
-            CLOUDS_TRY_ASSIGN(data, std::move(dirty));
-            if (!data.empty()) CLOUDS_TRY(store_.writePage(self, key, data));
+          CLOUDS_TRY_ASSIGN(got, collectOwnerCopy(self, Op::degrade, key, v, e.owner, attempt));
+          collected = got;
+          if (collected) {
             e.copyset = {e.owner};
             e.owner = net::kNoNode;
             e.state = PState::shared;
           }
         }
       }
-      if (!deferred) {
+      if (collected) {
         e.copyset.insert(client);
         e.state = PState::shared;
         return loadGrant(self, key, v);
@@ -239,23 +243,10 @@ Result<PageGrant> DsmServer::handleWrite(sim::Process& self, net::NodeId client,
       sim::SimLockGuard guard(e.mu, self);
       node_.cpu().compute(self, node_.cost().dsm_server_lookup);
       const std::uint64_t v = ++e.version;
-      bool deferred = false;
+      bool collected = true;
       if (e.state == PState::exclusive && e.owner != client) {
-        auto dirty = callback(self, e.owner, Op::invalidate, key, v);
-        if (!dirty.ok() && dirty.error().code == Errc::busy) {
-          if (attempt < node_.cost().dsm_callback_retries) {
-            deferred = true;
-          } else {
-            node_.simulation().trace(node_.name(), "dsm",
-                                     "holder of " + key.toString() +
-                                         " busy past patience: copy lost");
-            dirty = Bytes{};
-          }
-        }
-        if (!deferred) {
-          CLOUDS_TRY_ASSIGN(data, std::move(dirty));
-          if (!data.empty()) CLOUDS_TRY(store_.writePage(self, key, data));
-        }
+        CLOUDS_TRY_ASSIGN(got, collectOwnerCopy(self, Op::invalidate, key, v, e.owner, attempt));
+        collected = got;
       } else if (e.state == PState::shared) {
         for (net::NodeId holder : e.copyset) {
           if (holder == client) continue;
@@ -264,7 +255,7 @@ Result<PageGrant> DsmServer::handleWrite(sim::Process& self, net::NodeId client,
           if (!dirty.empty()) CLOUDS_TRY(store_.writePage(self, key, dirty));
         }
       }
-      if (!deferred) {
+      if (collected) {
         e.copyset.clear();
         e.state = PState::exclusive;
         e.owner = client;
@@ -276,49 +267,12 @@ Result<PageGrant> DsmServer::handleWrite(sim::Process& self, net::NodeId client,
 }
 
 Result<void> DsmServer::handleWriteBack(sim::Process& self, net::NodeId client,
-                                        const ra::PageKey& key, ByteSpan data, bool drop) {
-  ++*m_write_backs_;
-  DirEntry& e = directory_[key];
-  sim::SimLockGuard guard(e.mu, self);
-  node_.cpu().compute(self, node_.cost().dsm_server_lookup);
-  if (e.state != PState::exclusive || e.owner != client) {
-    if (e.state == PState::uncached && e.version == 0) {
-      // Fresh directory entry: this server rebooted while the client still
-      // held the page exclusive, and the write-back outlived the crash.
-      // Adopt it. Safe gate: every pre-crash grant left version >= 1, so a
-      // stale in-flight write-back racing a commit's invalidation can never
-      // match here.
-      ++*m_wb_adoptions_;
-      ++e.version;
-      if (!store_.writePage(self, key, data).ok()) {
-        return okResult();  // e.g. segment destroyed meanwhile: copy is moot
-      }
-      if (!drop) {
-        e.state = PState::shared;
-        e.copyset = {client};
-      }
-      return okResult();
-    }
-    // Stale write-back racing a callback that already collected this data.
-    return okResult();
-  }
-  CLOUDS_TRY(store_.writePage(self, key, data));
-  ++e.version;
-  if (drop) {
-    e.state = PState::uncached;
-    e.owner = net::kNoNode;
-    e.copyset.clear();
-  } else {
-    e.state = PState::shared;
-    e.copyset = {client};
-    e.owner = net::kNoNode;
-  }
-  return okResult();
+                                        const ra::PageKey& key, Bytes data, bool drop) {
+  return handleWriteBackBatch(self, client, {store::PageUpdate{key, std::move(data)}}, drop);
 }
 
 Result<void> DsmServer::handleWriteBackBatch(sim::Process& self, net::NodeId client,
-                                             const std::vector<store::PageUpdate>& updates,
-                                             bool drop) {
+                                             std::vector<store::PageUpdate> updates, bool drop) {
   *m_write_backs_ += updates.size();
   if (updates.empty()) return okResult();
   // Hold every page's directory mutex for the span of the batch, acquired in
@@ -335,18 +289,22 @@ Result<void> DsmServer::handleWriteBackBatch(sim::Process& self, net::NodeId cli
     }
   } unlock{entries};
   node_.cpu().compute(self, node_.cost().dsm_server_lookup);
-  // Decide acceptance per page under the locks (same rules as the
-  // single-page path), then push the accepted set through one store write.
+  // Decide acceptance per page under the locks, then push the accepted set
+  // through one store write.
   std::vector<store::PageUpdate> accepted;
   std::vector<std::size_t> accepted_idx;
   std::vector<bool> accepted_adoption;
   for (std::size_t i = 0; i < updates.size(); ++i) {
     DirEntry& e = *entries[i];
     const bool owned = e.state == PState::exclusive && e.owner == client;
+    // Fresh directory entry: this server rebooted while the client still
+    // held the page exclusive, and the write-back outlived the crash. Adopt
+    // it. Safe gate: every pre-crash grant left version >= 1, so a stale
+    // in-flight write-back racing a commit's invalidation can never match
+    // here.
     const bool adoption = !owned && e.state == PState::uncached && e.version == 0;
     if (!owned && !adoption) continue;  // stale: a callback already collected it
     if (adoption) {
-      // Post-reboot adoption, same gate as handleWriteBack.
       ++*m_wb_adoptions_;
       ++e.version;
     }
@@ -354,7 +312,7 @@ Result<void> DsmServer::handleWriteBackBatch(sim::Process& self, net::NodeId cli
     // of a segment destroyed or shrunk meanwhile must not poison the batch.
     auto info = store_.stat(updates[i].key.segment);
     if (!info.ok() || updates[i].key.page >= info.value().pageCount()) continue;
-    accepted.push_back(updates[i]);
+    accepted.push_back(std::move(updates[i]));
     accepted_idx.push_back(i);
     accepted_adoption.push_back(adoption);
   }
@@ -617,33 +575,18 @@ Bytes DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Bytes& r
         encodeStatus(reply, Errc::bad_argument);
         break;
       }
-      auto r = handleWriteBack(self, client, key.value(), data.value(), drop.value());
+      auto r = handleWriteBack(self, client, key.value(), std::move(data).value(), drop.value());
       encodeStatus(reply, r.code());
       break;
     }
     case Op::write_back_batch: {
       auto drop = d.boolean();
-      auto count = d.u32();
-      if (!drop.ok() || !count.ok()) {
+      auto updates = decodeUpdates(d);
+      if (!drop.ok() || !updates.ok()) {
         encodeStatus(reply, Errc::bad_argument);
         break;
       }
-      std::vector<store::PageUpdate> updates;
-      bool bad = false;
-      for (std::uint32_t i = 0; i < count.value() && !bad; ++i) {
-        auto key = decodePageKey(d);
-        auto data = d.bytes();
-        if (!key.ok() || !data.ok()) {
-          bad = true;
-          break;
-        }
-        updates.push_back(store::PageUpdate{key.value(), std::move(data).value()});
-      }
-      if (bad) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      auto r = handleWriteBackBatch(self, client, updates, drop.value());
+      auto r = handleWriteBackBatch(self, client, std::move(updates).value(), drop.value());
       encodeStatus(reply, r.code());
       break;
     }
@@ -779,27 +722,12 @@ Bytes DsmServer::serveCommit(sim::Process& self, net::NodeId client, const Bytes
   }
   switch (static_cast<Op>(op.value())) {
     case Op::tx_prepare: {
-      auto count = d.u32();
-      if (!count.ok()) {
+      auto updates = decodeUpdates(d);
+      if (!updates.ok()) {
         encodeStatus(reply, Errc::bad_argument);
         break;
       }
-      std::vector<store::PageUpdate> updates;
-      bool bad = false;
-      for (std::uint32_t i = 0; i < count.value() && !bad; ++i) {
-        auto key = decodePageKey(d);
-        auto data = d.bytes();
-        if (!key.ok() || !data.ok()) {
-          bad = true;
-          break;
-        }
-        updates.push_back(store::PageUpdate{key.value(), std::move(data).value()});
-      }
-      if (bad) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      encodeStatus(reply, handlePrepare(self, txid.value(), std::move(updates)).code());
+      encodeStatus(reply, handlePrepare(self, txid.value(), std::move(updates).value()).code());
       break;
     }
     case Op::tx_commit:

@@ -44,14 +44,15 @@ class DsmServer {
   //      client; `client` is the requesting node's id) ----
   Result<PageGrant> handleRead(sim::Process& self, net::NodeId client, const ra::PageKey& key);
   Result<PageGrant> handleWrite(sim::Process& self, net::NodeId client, const ra::PageKey& key);
+  // Write-back: pages of one segment decided under their directory locks
+  // (taken in key order) and applied through the store as a single batched
+  // write — one log record / one group-commit force under the wal engine
+  // instead of a force per page. The single-page form is the one-element
+  // batch.
   Result<void> handleWriteBack(sim::Process& self, net::NodeId client, const ra::PageKey& key,
-                               ByteSpan data, bool drop);
-  // Batched write-back: many pages of one segment decided under their
-  // directory locks (taken in key order) and applied through the store as a
-  // single batched write — one log record / one group-commit force under the
-  // wal engine instead of a force per page.
+                               Bytes data, bool drop);
   Result<void> handleWriteBackBatch(sim::Process& self, net::NodeId client,
-                                    const std::vector<store::PageUpdate>& updates, bool drop);
+                                    std::vector<store::PageUpdate> updates, bool drop);
 
   // ---- Segment management ----
   Result<Sysname> handleCreate(sim::Process& self, std::uint64_t length, bool zero_fill);
@@ -126,6 +127,11 @@ class DsmServer {
   // A dead/unreachable holder is treated as having lost its copy.
   Result<Bytes> callback(sim::Process& self, net::NodeId holder, Op op, const ra::PageKey& key,
                          std::uint64_t version);
+  // Collect the exclusive owner's copy by a degrade or invalidate callback
+  // and write its dirty bytes, if any, to the store. False: the owner is
+  // busy within patience, and the caller retries with the entry unlocked.
+  Result<bool> collectOwnerCopy(sim::Process& self, Op op, const ra::PageKey& key,
+                                std::uint64_t version, net::NodeId owner, int attempt);
   Result<PageGrant> loadGrant(sim::Process& self, const ra::PageKey& key, std::uint64_t version);
   Bytes serveLock(sim::Process& self, net::NodeId client, const Bytes& request);
   Bytes serveCommit(sim::Process& self, net::NodeId client, const Bytes& request);

@@ -55,8 +55,8 @@ enum class StoreEngine : std::uint8_t { flat = 0, wal = 1 };
 
 class DiskStore {
  public:
-  DiskStore(std::uint32_t home_node, const sim::CostModel& cost,
-            std::size_t buffer_cache_pages = 256, StoreEngine engine = StoreEngine::flat);
+  DiskStore(std::uint32_t home_node, const sim::CostModel& cost, std::size_t buffer_cache_pages,
+            StoreEngine engine);
   // The counter handles may point into this object's own registry.
   DiskStore(const DiskStore&) = delete;
   DiskStore& operator=(const DiskStore&) = delete;

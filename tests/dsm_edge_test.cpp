@@ -1,5 +1,6 @@
 // DSM edge cases: stale grants under network mischief, server crash during
-// faults, directory healing, write-back races, multi-server segments.
+// faults, directory healing, write-back races and post-reboot adoption,
+// multi-server segments, malformed requests.
 #include <gtest/gtest.h>
 
 #include "testbed.hpp"
@@ -129,6 +130,98 @@ TEST(DsmEdge, EvictionWritebackRacingInvalidateLosesNothing) {
     EXPECT_EQ(f.read64(self, 0, 2), 102u);
   });
   f.sim.run();
+}
+
+TEST(DsmEdge, EvictionWriteBackAfterServerRebootIsAdopted) {
+  // Two frames: node 0 dirties page 0, the data server reboots (its volatile
+  // directory is lost), then node 0's faults on pages 1 and 2 evict page 0.
+  // The eviction's single-page write-back meets a fresh directory entry
+  // (version 0) and is adopted, not dropped as stale.
+  EdgeBed f(2, 1, 42, /*frames=*/2);
+  f.sim.spawn("driver", [&](sim::Process& self) {
+    f.write64(self, 0, 0, 77);
+    f.crashData(0);
+    f.restartData(0);
+    f.write64(self, 0, 1, 1);
+    f.write64(self, 0, 2, 2);  // evicts dirty page 0
+    EXPECT_EQ(f.sim.metrics().counterValue("data0/dsm/writeback_adoptions"), 1u);
+    EXPECT_EQ(f.read64(self, 1, 0), 77u);
+  });
+  f.sim.run();
+}
+
+TEST(DsmEdge, MalformedRequestsAnswerBadArgument) {
+  // The client stubs never send malformed input, so these bodies are built
+  // by hand. Every decoder must refuse them before a handler runs: nothing
+  // is prepared and nothing reaches the disk.
+  EdgeBed f(1, 1);
+  const auto op = [](dsm::Op o) { return static_cast<std::uint8_t>(o); };
+  const Bytes page(kPageSize);
+  struct Request {
+    const char* what;
+    net::PortId port;
+    Bytes body;
+  };
+  std::vector<Request> requests;
+  const auto add = [&](const char* what, net::PortId port, auto&& build) {
+    Encoder e;
+    build(e);
+    requests.push_back({what, port, std::move(e).take()});
+  };
+  for (net::PortId port : {net::kPortDsm, net::kPortLock, net::kPortCommit}) {
+    add("empty body", port, [](Encoder&) {});
+    add("unknown op", port, [](Encoder& e) {
+      e.u8(99);
+      e.u64(1);
+    });
+  }
+  add("read_page, truncated PageKey", net::kPortDsm, [&](Encoder& e) {
+    e.u8(op(dsm::Op::read_page));
+    e.sysname(f.seg);
+  });
+  add("write_back, truncated PageKey", net::kPortDsm, [&](Encoder& e) {
+    e.u8(op(dsm::Op::write_back));
+    e.sysname(f.seg);
+  });
+  add("write_back_batch, count past the pages", net::kPortDsm, [&](Encoder& e) {
+    e.u8(op(dsm::Op::write_back_batch));
+    e.boolean(false);
+    e.u32(2);
+    dsm::encodePageKey(e, {f.seg, 0});
+    e.bytes(page);
+  });
+  add("lock, truncated body", net::kPortLock, [&](Encoder& e) {
+    e.u8(op(dsm::Op::lock));
+    e.sysname(f.seg);
+  });
+  add("tx_prepare, truncated PageKey", net::kPortCommit, [&](Encoder& e) {
+    e.u8(op(dsm::Op::tx_prepare));
+    e.u64(7);
+    e.u32(1);
+    e.sysname(f.seg);
+  });
+  add("tx_prepare, count past the pages", net::kPortCommit, [&](Encoder& e) {
+    e.u8(op(dsm::Op::tx_prepare));
+    e.u64(8);
+    e.u32(2);
+    dsm::encodePageKey(e, {f.seg, 0});
+    e.bytes(page);
+  });
+
+  const std::string disk_writes = f.data[0].node->name() + "/disk/writes";
+  const std::uint64_t writes_before = f.sim.metrics().counterValue(disk_writes);
+  f.sim.spawn("driver", [&](sim::Process& self) {
+    for (const Request& r : requests) {
+      auto reply = f.compute[0].node->ratp().transact(self, f.data[0].node->id(), r.port, r.body);
+      ASSERT_TRUE(reply.ok()) << r.what;
+      Decoder d(reply.value());
+      EXPECT_EQ(dsm::decodeStatus(d, r.what).code(), Errc::bad_argument)
+          << r.what << " on port " << r.port;
+    }
+  });
+  f.sim.run();
+  EXPECT_TRUE(f.data[0].store->preparedTxids().empty());
+  EXPECT_EQ(f.sim.metrics().counterValue(disk_writes), writes_before);
 }
 
 TEST(DsmEdge, SegmentsOnTwoServersAreIndependent) {

@@ -12,7 +12,7 @@ namespace {
 struct StoreFixture {
   sim::Simulation sim{7};
   sim::CostModel cost;
-  DiskStore store{100, cost, /*cache=*/4};
+  DiskStore store{100, cost, /*cache=*/4, StoreEngine::flat};
 
   StoreFixture() { store.attachMetrics(sim.metrics(), "ds"); }
   std::uint64_t counter(const std::string& name) const {

@@ -16,7 +16,7 @@ class StorePropertySweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(StorePropertySweep, RandomOpsMatchReferenceModel) {
   sim::Simulation sim(GetParam());
   sim::CostModel cost;
-  DiskStore store(100, cost, /*cache=*/8);
+  DiskStore store(100, cost, /*cache=*/8, StoreEngine::flat);
 
   constexpr std::uint32_t kPages = 6;
   const Sysname seg = store.createSegment(kPages * ra::kPageSize).value();

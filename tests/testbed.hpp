@@ -50,7 +50,8 @@ struct Testbed {
       DataServer ds;
       ds.node = std::make_unique<ra::Node>(sim, cost, ether, 100 + i, "data" + std::to_string(i),
                                            static_cast<int>(ra::NodeRole::data));
-      ds.store = std::make_unique<store::DiskStore>(ds.node->id(), cost);
+      ds.store = std::make_unique<store::DiskStore>(ds.node->id(), cost, /*cache=*/256,
+                                                    store::StoreEngine::flat);
       ds.store->attachMetrics(sim.metrics(), ds.node->name());
       ds.server = std::make_unique<dsm::DsmServer>(*ds.node, *ds.store);
       data.push_back(std::move(ds));
@@ -63,7 +64,7 @@ struct Testbed {
       cs.dsm = part.get();
       cs.node->addPartition(std::move(part));
       cs.mmu = std::make_unique<ra::Mmu>(*cs.node);
-      cs.sync = std::make_unique<dsm::SyncClient>(*cs.node, nullptr);
+      cs.sync = std::make_unique<dsm::SyncClient>(*cs.node);
       compute.push_back(std::move(cs));
     }
   }
