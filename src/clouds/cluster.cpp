@@ -201,7 +201,11 @@ Cluster::Cluster(ClusterConfig config)
   }
 }
 
-Cluster::~Cluster() = default;
+Cluster::~Cluster() {
+  // sim_ is destroyed last, but its processes (gossip, RaTP workers,
+  // threads) block inside the machines: unwind them while those still exist.
+  sim_.shutdownProcesses();
+}
 
 Result<Sysname> Cluster::create(const std::string& class_name, const std::string& object_name,
                                 int data_idx, int compute_idx) {

@@ -262,7 +262,6 @@ Result<ActiveObject*> Runtime::activate(sim::Process& self, const Sysname& objec
     const ByteSpan image(h.data, ra::kPageSize);
     if (migrate::isForwardPage(image)) {
       CLOUDS_TRY_ASSIGN(rec, migrate::ForwardRecord::decode(image));
-      ++stats_.forward_chases;
       node_.simulation().trace(node_.name(), "objmgr",
                                "chasing migrated object " + cur.toString() + " -> " +
                                    rec.new_header.toString());
@@ -282,7 +281,6 @@ Result<ActiveObject*> Runtime::activate(sim::Process& self, const Sysname& objec
     CLOUDS_TRY(ao.space.map({kPHeapBase, desc.pheap_size, desc.pheap_seg, 0, true}));
     ao.vheap_seg = anon_.create(desc.vheap_size);
     CLOUDS_TRY(ao.space.map({kVHeapBase, desc.vheap_size, ao.vheap_seg, 0, true}));
-    ++stats_.activations;
     auto [pos, inserted] = active_.emplace(cur, std::move(ao));
     (void)inserted;
     return &pos->second;
@@ -310,7 +308,6 @@ Result<Sysname> Runtime::chaseForward(sim::Process& self, const Sysname& object)
     (void)deactivateObject(self, object, /*flush=*/false);
   }
   heat_.erase(object);
-  ++stats_.forward_chases;
   node_.simulation().trace(node_.name(), "objmgr",
                            "chasing migrated object " + object.toString() + " -> " +
                                rec.new_header.toString());
@@ -342,7 +339,6 @@ Result<Value> Runtime::invoke(CloudsThread& t, const Sysname& object, const std:
   int chases = 0;
   for (int attempt = 0; attempt <= kTxRetries; ++attempt) {
     if (attempt > 0) {
-      ++stats_.tx_retries;
       // Randomized exponential backoff breaks deadlock livelock (the
       // all-readers-upgrade pattern aborts everyone near-simultaneously;
       // wide jitter lets one retrier win each round).
@@ -379,7 +375,6 @@ Result<Value> Runtime::invoke(CloudsThread& t, const Sysname& object, const std:
 Result<Value> Runtime::invokeOnce(CloudsThread& t, const Sysname& object,
                                   const std::string& entry, const ValueList& args) {
   sim::Process& self = *t.process;
-  ++stats_.invocations;
   node_.cpu().compute(self, node_.cost().syscall + node_.cost().invoke_locate);
 
   auto act = activate(self, object);
@@ -550,11 +545,10 @@ void Runtime::bindThreadService() {
         auto args = argbytes.ok() ? Value::decodeList(argbytes.value())
                                   : Result<ValueList>(makeError(Errc::bad_argument, "x"));
         if (!tid.ok() || !ws.ok() || !window.ok() || !object.ok() || !entry.ok() || !args.ok()) {
-          reply.u8(static_cast<std::uint8_t>(Errc::bad_argument));
+          net::encodeStatus(reply, Errc::bad_argument);
           reply.str("malformed remote invocation request");
           return std::move(reply).take();
         }
-        ++stats_.remote_invocations_served;
         // A slave Clouds process carries the visiting thread's identity on
         // this node (paper: a thread "is implemented as a collection of
         // Clouds processes").
@@ -562,10 +556,10 @@ void Runtime::bindThreadService() {
         auto r = invoke(slave, object.value(), entry.value(), args.value());
         reapThread(slave);
         if (!r.ok()) {
-          reply.u8(static_cast<std::uint8_t>(r.error().code));
+          net::encodeStatus(reply, r.error().code);
           reply.str(r.error().message);
         } else {
-          reply.u8(static_cast<std::uint8_t>(Errc::ok));
+          net::encodeStatus(reply, Errc::ok);
           reply.bytes(Value::encodeList({r.value()}));
         }
         return std::move(reply).take();

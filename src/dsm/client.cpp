@@ -7,6 +7,12 @@
 
 namespace clouds::dsm {
 
+namespace {
+bool isCallbackOp(std::uint8_t op) {
+  return static_cast<Op>(op) == Op::invalidate || static_cast<Op>(op) == Op::degrade;
+}
+}  // namespace
+
 DsmClientPartition::DsmClientPartition(ra::Node& node, DsmServer* local_server,
                                        std::size_t frame_capacity)
     : node_(node), local_server_(local_server), capacity_(frame_capacity) {
@@ -137,15 +143,23 @@ Result<bool> DsmClientPartition::fault(sim::Process& self, const ra::PageKey& ke
   return true;
 }
 
+bool DsmClientPartition::homedHere(net::NodeId home) const {
+  return home == node_.id() && local_server_ != nullptr;
+}
+
+Result<Bytes> DsmClientPartition::call(sim::Process& self, net::NodeId home, Bytes request,
+                                       net::RatpOptions opts) {
+  if (homedHere(home)) {
+    node_.cpu().compute(self, node_.cost().syscall);
+    return local_server_->serveDsm(self, node_.id(), request);
+  }
+  return node_.ratp().transact(self, home, net::kPortDsm, std::move(request), opts);
+}
+
 Result<PageGrant> DsmClientPartition::requestPage(sim::Process& self, const ra::PageKey& key,
                                                   ra::Access access) {
   const net::NodeId home = ra::sysnameHome(key.segment);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return access == ra::Access::read ? local_server_->handleRead(self, node_.id(), key)
-                                      : local_server_->handleWrite(self, node_.id(), key);
-  }
-  ++*m_remote_fetches_;
+  if (!homedHere(home)) ++*m_remote_fetches_;
   Encoder e;
   e.u8(static_cast<std::uint8_t>(access == ra::Access::read ? Op::read_page : Op::write_page));
   encodePageKey(e, key);
@@ -154,47 +168,36 @@ Result<PageGrant> DsmClientPartition::requestPage(sim::Process& self, const ra::
   // grant); retransmissions are deduplicated server-side.
   net::RatpOptions opts;
   opts.max_retries = node_.cost().dsm_callback_retries + 20;
-  CLOUDS_TRY_ASSIGN(reply,
-                    node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take(), opts));
+  CLOUDS_TRY_ASSIGN(reply, call(self, home, std::move(e).take(), opts));
   Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "page fault"));
+  CLOUDS_TRY(net::decodeStatus(d, "page fault failed remotely"));
   return decodeGrant(d);
 }
 
 Result<void> DsmClientPartition::sendWriteBack(sim::Process& self, const ra::PageKey& key,
                                                const Bytes& data, bool drop) {
   ++*m_write_backs_;
-  const net::NodeId home = ra::sysnameHome(key.segment);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleWriteBack(self, node_.id(), key, data, drop);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::write_back));
   encodePageKey(e, key);
   e.boolean(drop);
   e.bytes(data);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, call(self, ra::sysnameHome(key.segment), std::move(e).take()));
   Decoder d(reply);
-  return decodeStatus(d, "write back");
+  return net::decodeStatus(d, "write back failed remotely");
 }
 
 Result<void> DsmClientPartition::sendWriteBackBatch(
     sim::Process& self, const Sysname& segment, const std::vector<store::PageUpdate>& updates,
     bool drop) {
   *m_write_backs_ += updates.size();
-  const net::NodeId home = ra::sysnameHome(segment);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleWriteBackBatch(self, node_.id(), updates, drop);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::write_back_batch));
   e.boolean(drop);
   encodeUpdates(e, updates);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, call(self, ra::sysnameHome(segment), std::move(e).take()));
   Decoder d(reply);
-  return decodeStatus(d, "write back batch");
+  return net::decodeStatus(d, "write back batch failed remotely");
 }
 
 void DsmClientPartition::maybeEvict(sim::Process& self) {
@@ -226,46 +229,6 @@ void DsmClientPartition::maybeEvict(sim::Process& self) {
 
 // ---------------------------------------------------------------- callbacks
 
-Bytes DsmClientPartition::onInvalidate(const ra::PageKey& key, std::uint64_t version,
-                                       bool* was_dirty, bool* busy) {
-  Frame& f = frames_[key];
-  *was_dirty = f.state == FState::exclusive && f.dirty;
-  *busy = *was_dirty && pinned_.count(key.segment) != 0;
-  if (*busy) {
-    // Uncommitted bytes of an open transaction: refuse to surrender them.
-    // The frame (and the grant version we would have recorded) is untouched
-    // so the server's retry after commit/abort sees a clean resolution.
-    *was_dirty = false;
-    return {};
-  }
-  ++*m_invalidated_;
-  f.max_seen = std::max(f.max_seen, version);
-  Bytes data;
-  if (*was_dirty) data = std::move(f.data);
-  f.state = FState::invalid;
-  f.dirty = false;
-  f.data.clear();
-  return data;
-}
-
-Bytes DsmClientPartition::onDegrade(const ra::PageKey& key, std::uint64_t version,
-                                    bool* was_dirty, bool* busy) {
-  Frame& f = frames_[key];
-  *was_dirty = f.state == FState::exclusive && f.dirty;
-  *busy = *was_dirty && pinned_.count(key.segment) != 0;
-  if (*busy) {
-    *was_dirty = false;
-    return {};
-  }
-  ++*m_degraded_;
-  f.max_seen = std::max(f.max_seen, version);
-  Bytes data;
-  if (*was_dirty) data = f.data;  // keep the (now shared, clean) copy
-  if (f.state == FState::exclusive) f.state = FState::shared;
-  f.dirty = false;
-  return data;
-}
-
 void DsmClientPartition::pinSegment(const Sysname& segment) { ++pinned_[segment]; }
 
 void DsmClientPartition::unpinSegment(const Sysname& segment) {
@@ -274,62 +237,61 @@ void DsmClientPartition::unpinSegment(const Sysname& segment) {
   if (--it->second <= 0) pinned_.erase(it);
 }
 
+Bytes DsmClientPartition::serveCallback(const Bytes& request) {
+  return net::answer(request, [this](Decoder& d, Encoder& reply) -> Result<void> {
+    CLOUDS_TRY_ASSIGN(op, d.u8());
+    if (!isCallbackOp(op)) return makeError(Errc::bad_argument, "not a coherence callback");
+    CLOUDS_TRY_ASSIGN(key, decodePageKey(d));
+    CLOUDS_TRY_ASSIGN(version, d.u64());
+    Frame& f = frames_[key];
+    const bool dirty = f.state == FState::exclusive && f.dirty;
+    if (dirty && pinned_.count(key.segment) != 0) {
+      // Uncommitted bytes of an open transaction: refuse to surrender them.
+      // The frame (and the grant version we would have recorded) is
+      // untouched so the server's retry after commit/abort sees a clean
+      // resolution.
+      return makeError(Errc::busy, "frame pinned by an open transaction");
+    }
+    const bool invalidate = static_cast<Op>(op) == Op::invalidate;
+    ++*(invalidate ? m_invalidated_ : m_degraded_);
+    f.max_seen = std::max(f.max_seen, version);
+    reply.boolean(dirty);
+    if (dirty) reply.bytes(f.data);
+    if (invalidate) {
+      f.state = FState::invalid;
+      f.data.clear();
+    } else if (f.state == FState::exclusive) {
+      f.state = FState::shared;  // keep the (now clean) copy
+    }
+    f.dirty = false;
+    return okResult();
+  });
+}
+
 void DsmClientPartition::bindCallbackService() {
   // On a combined compute+data node this binding owns kPortDsm for both
-  // directions: coherence callbacks are handled here, and server ops are
+  // directions: coherence callbacks are served here, and server ops are
   // forwarded to the co-located DsmServer (op code spaces are disjoint).
   node_.ratp().bindService(
       net::kPortDsm, [this](sim::Process& self, net::NodeId src, const Bytes& request) {
-        Decoder d(request);
-        Encoder reply;
-        auto op = d.u8();
-        if (!op.ok()) {
-          encodeStatus(reply, Errc::bad_argument);
-          return std::move(reply).take();
+        if (!request.empty() && isCallbackOp(static_cast<std::uint8_t>(request[0]))) {
+          node_.cpu().compute(self, node_.cost().fault_trap);  // remote shootdown path
+        } else if (local_server_ != nullptr) {
+          return local_server_->serveDsm(self, src, request);
         }
-        const Op code = static_cast<Op>(op.value());
-        if (code != Op::invalidate && code != Op::degrade) {
-          if (local_server_ != nullptr) return local_server_->serveDsm(self, src, request);
-          encodeStatus(reply, Errc::bad_argument);
-          return std::move(reply).take();
-        }
-        node_.cpu().compute(self, node_.cost().fault_trap);  // remote shootdown path
-        auto key = decodePageKey(d);
-        auto version = d.u64();
-        if (!key.ok() || !version.ok()) {
-          encodeStatus(reply, Errc::bad_argument);
-          return std::move(reply).take();
-        }
-        bool dirty = false;
-        bool busy = false;
-        Bytes data = code == Op::invalidate
-                         ? onInvalidate(key.value(), version.value(), &dirty, &busy)
-                         : onDegrade(key.value(), version.value(), &dirty, &busy);
-        if (busy) {
-          encodeStatus(reply, Errc::busy);
-          return std::move(reply).take();
-        }
-        encodeStatus(reply, Errc::ok);
-        reply.boolean(dirty);
-        if (dirty) reply.bytes(data);
-        return std::move(reply).take();
+        return serveCallback(request);
       });
 }
 
 // ---------------------------------------------------------------- segment ops
 
 Result<ra::SegmentInfo> DsmClientPartition::stat(sim::Process& self, const Sysname& segment) {
-  const net::NodeId home = ra::sysnameHome(segment);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleStat(self, segment);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::stat_segment));
   e.sysname(segment);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, call(self, ra::sysnameHome(segment), std::move(e).take()));
   Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "stat"));
+  CLOUDS_TRY(net::decodeStatus(d, "stat failed remotely"));
   CLOUDS_TRY_ASSIGN(name, d.sysname());
   CLOUDS_TRY_ASSIGN(length, d.u64());
   CLOUDS_TRY_ASSIGN(zf, d.boolean());
@@ -338,50 +300,36 @@ Result<ra::SegmentInfo> DsmClientPartition::stat(sim::Process& self, const Sysna
 
 Result<Sysname> DsmClientPartition::createSegment(sim::Process& self, net::NodeId home,
                                                   std::uint64_t length, bool zero_fill) {
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleCreate(self, length, zero_fill);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::create_segment));
   e.u64(length);
   e.boolean(zero_fill);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, call(self, home, std::move(e).take()));
   Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "create segment"));
+  CLOUDS_TRY(net::decodeStatus(d, "create segment failed remotely"));
   return d.sysname();
 }
 
 Result<void> DsmClientPartition::adoptSegment(sim::Process& self, const Sysname& name,
                                               std::uint64_t length, bool zero_fill) {
-  const net::NodeId home = ra::sysnameHome(name);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleAdopt(self, name, length, zero_fill);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::adopt_segment));
   e.sysname(name);
   e.u64(length);
   e.boolean(zero_fill);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, call(self, ra::sysnameHome(name), std::move(e).take()));
   Decoder d(reply);
-  return decodeStatus(d, "adopt segment");
+  return net::decodeStatus(d, "adopt segment failed remotely");
 }
 
 Result<void> DsmClientPartition::destroySegment(sim::Process& self, const Sysname& name) {
   dropSegment(name);
-  const net::NodeId home = ra::sysnameHome(name);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleDestroy(self, name);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::destroy_segment));
   e.sysname(name);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, call(self, ra::sysnameHome(name), std::move(e).take()));
   Decoder d(reply);
-  return decodeStatus(d, "destroy segment");
+  return net::decodeStatus(d, "destroy segment failed remotely");
 }
 
 // ---------------------------------------------------------------- hooks

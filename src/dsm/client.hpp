@@ -3,8 +3,8 @@
 // This is the Partition the MMU consults for every Clouds segment: a cache
 // of page frames in {invalid | shared | exclusive} states. Misses and write
 // upgrades run the fault path: trap cost, a read_page/write_page
-// transaction to the segment's home data server (short-circuited to a
-// direct call when the segment is homed on this very node), install cost
+// transaction to the segment's home data server (a direct call into the
+// co-located server when the segment is homed on this very node), install cost
 // (zero-fill or frame copy), and versioned-grant staleness checks.
 //
 // It also answers the server's invalidate/degrade callbacks, surrendering
@@ -64,12 +64,13 @@ class DsmClientPartition : public ra::Partition {
   void unpinSegment(const Sysname& segment);
 
   // ---- Server -> client coherence callbacks ----
-  // Returns the frame's dirty data when it had any (the server folds it
-  // into the store). Sets `*busy` instead when the frame is pinned by an
-  // open transaction — nothing is surrendered and the server must retry.
-  Bytes onInvalidate(const ra::PageKey& key, std::uint64_t version, bool* was_dirty,
-                     bool* busy);
-  Bytes onDegrade(const ra::PageKey& key, std::uint64_t version, bool* was_dirty, bool* busy);
+  // The reply to an invalidate or degrade callback: whether the frame was
+  // dirty and, if so, its bytes (the server folds them into the store).
+  // Errc::busy instead when the frame is pinned by an open transaction:
+  // nothing is surrendered and the server must retry. Charges no CPU; the
+  // kPortDsm binding charges the remote shootdown trap, the co-located
+  // DsmServer a syscall.
+  Bytes serveCallback(const Bytes& request);
 
   // Node-crash hook: every frame is lost.
   void loseVolatileState();
@@ -109,6 +110,12 @@ class DsmClientPartition : public ra::Partition {
   // One fault: request, staleness check, install. Returns false for a stale
   // grant (caller retries).
   Result<bool> fault(sim::Process& self, const ra::PageKey& key, ra::Access access);
+  // The co-location seam: true when `home` is this node's own data server.
+  bool homedHere(net::NodeId home) const;
+  // Send one kPortDsm request to `home`'s data server: a syscall into the
+  // co-located DsmServer when homedHere, else a RaTP transaction.
+  Result<Bytes> call(sim::Process& self, net::NodeId home, Bytes request,
+                     net::RatpOptions opts = {});
   Result<PageGrant> requestPage(sim::Process& self, const ra::PageKey& key, ra::Access access);
   Result<void> sendWriteBack(sim::Process& self, const ra::PageKey& key, const Bytes& data,
                              bool drop);

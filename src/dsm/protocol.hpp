@@ -47,16 +47,6 @@ enum class Op : std::uint8_t {
 
 enum class LockMode : std::uint8_t { shared = 0, exclusive = 1 };
 
-// Every reply starts with a status byte (Errc); 0 means ok.
-inline void encodeStatus(Encoder& e, Errc c) { e.u8(static_cast<std::uint8_t>(c)); }
-
-inline Result<void> decodeStatus(Decoder& d, const char* what) {
-  CLOUDS_TRY_ASSIGN(s, d.u8());
-  const auto code = static_cast<Errc>(s);
-  if (code != Errc::ok) return makeError(code, std::string(what) + " failed remotely");
-  return okResult();
-}
-
 inline void encodePageKey(Encoder& e, const ra::PageKey& k) {
   e.sysname(k.segment);
   e.u32(k.page);

@@ -37,43 +37,13 @@ class DsmServer {
   store::DiskStore& store() noexcept { return store_; }
 
   // The co-located client partition, when this node is also a compute
-  // server: callbacks to it short-circuit the network.
+  // server: callbacks to it skip the network.
   void setLocalClient(DsmClientPartition* client) noexcept { local_client_ = client; }
 
-  // ---- Page coherence (called by RaTP service or directly by the local
-  //      client; `client` is the requesting node's id) ----
-  Result<PageGrant> handleRead(sim::Process& self, net::NodeId client, const ra::PageKey& key);
-  Result<PageGrant> handleWrite(sim::Process& self, net::NodeId client, const ra::PageKey& key);
-  // Write-back: pages of one segment decided under their directory locks
-  // (taken in key order) and applied through the store as a single batched
-  // write — one log record / one group-commit force under the wal engine
-  // instead of a force per page. The single-page form is the one-element
-  // batch.
-  Result<void> handleWriteBack(sim::Process& self, net::NodeId client, const ra::PageKey& key,
-                               Bytes data, bool drop);
-  Result<void> handleWriteBackBatch(sim::Process& self, net::NodeId client,
-                                    std::vector<store::PageUpdate> updates, bool drop);
-
-  // ---- Segment management ----
-  Result<Sysname> handleCreate(sim::Process& self, std::uint64_t length, bool zero_fill);
-  Result<void> handleAdopt(sim::Process& self, const Sysname& name, std::uint64_t length,
-                           bool zero_fill);
-  Result<ra::SegmentInfo> handleStat(sim::Process& self, const Sysname& name);
-  Result<void> handleDestroy(sim::Process& self, const Sysname& name);
-
-  // ---- Locks & semaphores ----
-  Result<void> handleLock(sim::Process& self, const Sysname& segment, LockMode mode,
-                          std::uint64_t owner);
-  Result<void> handleUnlockAll(sim::Process& self, std::uint64_t owner);
-  Result<std::uint64_t> handleSemCreate(sim::Process& self, std::int64_t initial);
-  Result<void> handleSemP(sim::Process& self, std::uint64_t sem);
-  Result<void> handleSemV(sim::Process& self, std::uint64_t sem);
-
-  // ---- Two-phase commit participant ----
-  Result<void> handlePrepare(sim::Process& self, std::uint64_t txid,
-                             std::vector<store::PageUpdate> updates);
-  Result<void> handleCommit(sim::Process& self, net::NodeId committer, std::uint64_t txid);
-  Result<void> handleAbort(sim::Process& self, std::uint64_t txid);
+  // The kPortDsm service: one request from `client`, one reply. The
+  // co-located client partition calls it directly for segments homed here,
+  // and forwards server ops to it when it owns the port binding.
+  Bytes serveDsm(sim::Process& self, net::NodeId client, const Bytes& request);
 
   // Crash support: volatile directory/lock/semaphore state is lost; the
   // store's images and prepared log survive (store handles its own split).
@@ -116,15 +86,44 @@ class DsmServer {
     sim::WaitQueue queue;
   };
 
-  // Raw kPortDsm dispatcher; public so a co-located client partition can
-  // forward server ops when it owns the port binding on a combined node.
- public:
-  Bytes serveDsm(sim::Process& self, net::NodeId client, const Bytes& request);
+  // ---- Page coherence (`client` is the requesting node's id) ----
+  Result<PageGrant> handleRead(sim::Process& self, net::NodeId client, const ra::PageKey& key);
+  Result<PageGrant> handleWrite(sim::Process& self, net::NodeId client, const ra::PageKey& key);
+  // Write-back: pages of one segment decided under their directory locks
+  // (taken in key order) and applied through the store as a single batched
+  // write — one log record / one group-commit force under the wal engine
+  // instead of a force per page. The single-page form is the one-element
+  // batch.
+  Result<void> handleWriteBack(sim::Process& self, net::NodeId client, const ra::PageKey& key,
+                               Bytes data, bool drop);
+  Result<void> handleWriteBackBatch(sim::Process& self, net::NodeId client,
+                                    std::vector<store::PageUpdate> updates, bool drop);
 
- private:
+  // ---- Segment management ----
+  Result<Sysname> handleCreate(sim::Process& self, std::uint64_t length, bool zero_fill);
+  Result<void> handleAdopt(sim::Process& self, const Sysname& name, std::uint64_t length,
+                           bool zero_fill);
+  Result<ra::SegmentInfo> handleStat(sim::Process& self, const Sysname& name);
+  Result<void> handleDestroy(sim::Process& self, const Sysname& name);
+
+  // ---- Locks & semaphores ----
+  Result<void> handleLock(sim::Process& self, const Sysname& segment, LockMode mode,
+                          std::uint64_t owner);
+  Result<void> handleUnlockAll(sim::Process& self, std::uint64_t owner);
+  Result<std::uint64_t> handleSemCreate(sim::Process& self, std::int64_t initial);
+  Result<void> handleSemP(sim::Process& self, std::uint64_t sem);
+  Result<void> handleSemV(sim::Process& self, std::uint64_t sem);
+
+  // ---- Two-phase commit participant ----
+  Result<void> handlePrepare(sim::Process& self, std::uint64_t txid,
+                             std::vector<store::PageUpdate> updates);
+  Result<void> handleCommit(sim::Process& self, net::NodeId committer, std::uint64_t txid);
+  Result<void> handleAbort(sim::Process& self, std::uint64_t txid);
+
   void bindServices();
-  // Send a coherence callback; returns the holder's dirty data if any.
-  // A dead/unreachable holder is treated as having lost its copy.
+  // Send a coherence callback; returns the holder's dirty data if any. A
+  // co-located holder is served directly; a dead/unreachable one is treated
+  // as having lost its copy.
   Result<Bytes> callback(sim::Process& self, net::NodeId holder, Op op, const ra::PageKey& key,
                          std::uint64_t version);
   // Collect the exclusive owner's copy by a degrade or invalidate callback
@@ -133,7 +132,7 @@ class DsmServer {
   Result<bool> collectOwnerCopy(sim::Process& self, Op op, const ra::PageKey& key,
                                 std::uint64_t version, net::NodeId owner, int attempt);
   Result<PageGrant> loadGrant(sim::Process& self, const ra::PageKey& key, std::uint64_t version);
-  Bytes serveLock(sim::Process& self, net::NodeId client, const Bytes& request);
+  Bytes serveLock(sim::Process& self, const Bytes& request);
   Bytes serveCommit(sim::Process& self, net::NodeId client, const Bytes& request);
 
   ra::Node& node_;

@@ -30,7 +30,7 @@ Result<void> SyncClient::lock(sim::Process& self, const Sysname& segment, LockMo
   e.u64(owner);
   CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCallTimeout));
   Decoder d(reply);
-  return decodeStatus(d, "lock");
+  return net::decodeStatus(d, "lock failed remotely");
 }
 
 Result<void> SyncClient::unlockAll(sim::Process& self, net::NodeId server, std::uint64_t owner) {
@@ -39,7 +39,7 @@ Result<void> SyncClient::unlockAll(sim::Process& self, net::NodeId server, std::
   e.u64(owner);
   CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCallTimeout));
   Decoder d(reply);
-  return decodeStatus(d, "unlock_all");
+  return net::decodeStatus(d, "unlock_all failed remotely");
 }
 
 Result<std::uint64_t> SyncClient::semCreate(sim::Process& self, net::NodeId server,
@@ -49,7 +49,7 @@ Result<std::uint64_t> SyncClient::semCreate(sim::Process& self, net::NodeId serv
   e.i64(initial);
   CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCallTimeout));
   Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "sem_create"));
+  CLOUDS_TRY(net::decodeStatus(d, "sem_create failed remotely"));
   return d.u64();
 }
 
@@ -60,7 +60,7 @@ Result<void> SyncClient::semP(sim::Process& self, std::uint64_t sem) {
   e.u64(sem);
   CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kSemCallTimeout));
   Decoder d(reply);
-  return decodeStatus(d, "sem_p");
+  return net::decodeStatus(d, "sem_p failed remotely");
 }
 
 Result<void> SyncClient::semV(sim::Process& self, std::uint64_t sem) {
@@ -70,7 +70,7 @@ Result<void> SyncClient::semV(sim::Process& self, std::uint64_t sem) {
   e.u64(sem);
   CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kSemCallTimeout));
   Decoder d(reply);
-  return decodeStatus(d, "sem_v");
+  return net::decodeStatus(d, "sem_v failed remotely");
 }
 
 Result<void> SyncClient::prepare(sim::Process& self, net::NodeId server, std::uint64_t txid,
@@ -82,7 +82,7 @@ Result<void> SyncClient::prepare(sim::Process& self, net::NodeId server, std::ui
   CLOUDS_TRY_ASSIGN(reply,
                     node_.ratp().transact(self, server, net::kPortCommit, std::move(e).take()));
   Decoder d(reply);
-  return decodeStatus(d, "tx_prepare");
+  return net::decodeStatus(d, "tx_prepare failed remotely");
 }
 
 Result<void> SyncClient::decide(sim::Process& self, net::NodeId server, std::uint64_t txid,
@@ -100,7 +100,7 @@ Result<void> SyncClient::decide(sim::Process& self, net::NodeId server, std::uin
   CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server, net::kPortCommit,
                                                  std::move(e).take(), opts));
   Decoder d(reply);
-  return decodeStatus(d, commit ? "tx_commit" : "tx_abort");
+  return net::decodeStatus(d, commit ? "tx_commit failed remotely" : "tx_abort failed remotely");
 }
 
 }  // namespace clouds::dsm

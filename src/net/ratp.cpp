@@ -14,6 +14,13 @@ constexpr std::size_t kFragHeader = 1 + 8 + 2 + 2 + 2 + 4;
 constexpr sim::Duration kReplyCacheTtl = sim::sec(5);
 }  // namespace
 
+Result<void> decodeStatus(Decoder& d, std::string_view message) {
+  CLOUDS_TRY_ASSIGN(s, d.u8());
+  const auto code = static_cast<Errc>(s);
+  if (code != Errc::ok) return makeError(code, std::string(message));
+  return okResult();
+}
+
 RatpEndpoint::RatpEndpoint(Nic& nic, std::string name) : nic_(nic), name_(std::move(name)) {
   sim::MetricsRegistry& metrics = simulation().metrics();
   m_started_ = &metrics.counter(name_ + "/ratp/transactions");

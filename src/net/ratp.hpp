@@ -25,6 +25,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -46,6 +47,31 @@ inline constexpr PortId kPortUserIo = 7;    // user I/O manager (workstation sid
 inline constexpr PortId kPortStorage = 8;   // segment storage service
 inline constexpr PortId kPortNfs = 9;       // NfsSim comparator
 inline constexpr PortId kPortFtp = 10;      // FtpSim comparator
+
+// ---- The reply convention of every service but kPortThread ----
+// A reply is a status byte (Errc, 0 = ok), then the results, which are
+// present only when the status is ok.
+inline void encodeStatus(Encoder& e, Errc c) { e.u8(static_cast<std::uint8_t>(c)); }
+
+// Read a reply's status byte. A non-ok status fails with its code and
+// `message`; a reply too short to hold one fails as the decoder reports it.
+Result<void> decodeStatus(Decoder& d, std::string_view message);
+
+// Build the reply to `request`. `body(d, results)` decodes the request from
+// `d` with CLOUDS_TRY, so any malformed field fails with the decoder's
+// Errc::bad_argument, and appends its results. The reply carries body's
+// status first and keeps the results only when that status is ok.
+template <typename Body>
+Bytes answer(ByteSpan request, Body&& body) {
+  Decoder d(request);
+  Encoder reply;
+  encodeStatus(reply, Errc::ok);
+  const Result<void> r = body(d, reply);
+  if (r.ok()) return std::move(reply).take();
+  Encoder failed;
+  encodeStatus(failed, r.code());
+  return std::move(failed).take();
+}
 
 struct RatpOptions {
   sim::Duration timeout = sim::kZero;  // 0 = use cost model default

@@ -61,6 +61,12 @@ class Simulation {
 
   std::size_t liveProcessCount() const noexcept;
 
+  // Kill and unwind every unfinished process. The destructor does this
+  // last; an owner whose processes hold references into objects it destroys
+  // before the Simulation (e.g. a cluster's nodes) calls it first. A second
+  // call finds every process finished.
+  void shutdownProcesses();
+
   // Deterministic per-simulation randomness (only consumer of the seed).
   std::mt19937_64& rng() noexcept { return rng_; }
   double uniform01() { return std::uniform_real_distribution<double>(0.0, 1.0)(rng_); }
@@ -105,7 +111,6 @@ class Simulation {
   void pushClosure(Duration delay, std::function<void()> fn, bool daemon);
   void dispatch(const Event& e);
   std::size_t runUntil(TimePoint horizon, bool bounded);
-  void shutdownProcesses();
 
   SimConfig config_;
   // The scheduler side of every fiber context switch: adopts whichever host

@@ -13,14 +13,6 @@ constexpr int kMaxForwardChain = 8;
 constexpr std::uint32_t kSnapshotMagicV1 = 0xC10D7A3Eu;
 constexpr std::uint32_t kSnapshotMagicV2 = 0xC10D7A3Fu;
 
-void encodeStatus(Encoder& e, Errc c) { e.u8(static_cast<std::uint8_t>(c)); }
-
-Result<void> decodeStatus(Decoder& d, const char* what) {
-  CLOUDS_TRY_ASSIGN(s, d.u8());
-  const auto code = static_cast<Errc>(s);
-  if (code != Errc::ok) return makeError(code, std::string(what) + " failed at name server");
-  return okResult();
-}
 }  // namespace
 
 NameServer::NameServer(ra::Node& node) : node_(node) {
@@ -168,83 +160,46 @@ Result<void> NameServer::loadFrom(const std::string& path) {
 
 Bytes NameServer::serve(sim::Process& self, const Bytes& request) {
   node_.cpu().compute(self, node_.cost().dsm_server_lookup);
-  Decoder d(request);
-  Encoder reply;
-  auto op = d.u8();
-  if (!op.ok()) {
-    encodeStatus(reply, Errc::bad_argument);
-    return std::move(reply).take();
-  }
-  switch (static_cast<NameOp>(op.value())) {
-    case NameOp::bind: {
-      auto name = d.str();
-      auto replace = d.boolean();
-      auto count = d.u32();
-      if (!name.ok() || !replace.ok() || !count.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      Binding b;
-      bool bad = false;
-      for (std::uint32_t i = 0; i < count.value(); ++i) {
-        auto s = d.sysname();
-        if (!s.ok()) {
-          bad = true;
-          break;
+  return net::answer(request, [this](Decoder& d, Encoder& reply) -> Result<void> {
+    CLOUDS_TRY_ASSIGN(op, d.u8());
+    switch (static_cast<NameOp>(op)) {
+      case NameOp::bind: {
+        CLOUDS_TRY_ASSIGN(name, d.str());
+        CLOUDS_TRY_ASSIGN(replace, d.boolean());
+        CLOUDS_TRY_ASSIGN(count, d.u32());
+        Binding b;
+        for (std::uint32_t i = 0; i < count; ++i) {
+          CLOUDS_TRY_ASSIGN(s, d.sysname());
+          b.sysnames.push_back(s);
         }
-        b.sysnames.push_back(s.value());
+        return bind(name, std::move(b), replace);
       }
-      if (bad) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
+      case NameOp::lookup: {
+        CLOUDS_TRY_ASSIGN(name, d.str());
+        CLOUDS_TRY_ASSIGN(binding, lookup(name));
+        reply.u32(static_cast<std::uint32_t>(binding.sysnames.size()));
+        for (const Sysname& s : binding.sysnames) reply.sysname(s);
+        return okResult();
       }
-      encodeStatus(reply, bind(name.value(), std::move(b), replace.value()).code());
-      break;
+      case NameOp::unbind: {
+        CLOUDS_TRY_ASSIGN(name, d.str());
+        return unbind(name);
+      }
+      case NameOp::list: {
+        const auto names = list();
+        reply.u32(static_cast<std::uint32_t>(names.size()));
+        for (const auto& n : names) reply.str(n);
+        return okResult();
+      }
+      case NameOp::forward: {
+        CLOUDS_TRY_ASSIGN(from, d.sysname());
+        CLOUDS_TRY_ASSIGN(to, d.sysname());
+        return addForward(from, to);
+      }
+      default:
+        return makeError(Errc::bad_argument, "unknown name op");
     }
-    case NameOp::lookup: {
-      auto name = d.str();
-      if (!name.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      auto r = lookup(name.value());
-      encodeStatus(reply, r.code());
-      if (r.ok()) {
-        reply.u32(static_cast<std::uint32_t>(r.value().sysnames.size()));
-        for (const Sysname& s : r.value().sysnames) reply.sysname(s);
-      }
-      break;
-    }
-    case NameOp::unbind: {
-      auto name = d.str();
-      if (!name.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      encodeStatus(reply, unbind(name.value()).code());
-      break;
-    }
-    case NameOp::list: {
-      encodeStatus(reply, Errc::ok);
-      const auto names = list();
-      reply.u32(static_cast<std::uint32_t>(names.size()));
-      for (const auto& n : names) reply.str(n);
-      break;
-    }
-    case NameOp::forward: {
-      auto from = d.sysname();
-      auto to = d.sysname();
-      if (!from.ok() || !to.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      encodeStatus(reply, addForward(from.value(), to.value()).code());
-      break;
-    }
-    default:
-      encodeStatus(reply, Errc::bad_argument);
-  }
-  return std::move(reply).take();
+  });
 }
 
 // ---------------------------------------------------------------- client
@@ -252,7 +207,7 @@ Bytes NameServer::serve(sim::Process& self, const Bytes& request) {
 Result<void> NameClient::bind(sim::Process& self, const std::string& name,
                               const std::vector<Sysname>& sysnames, bool replace) {
   Encoder e;
-  e.u8(50);
+  e.u8(static_cast<std::uint8_t>(NameOp::bind));
   e.str(name);
   e.boolean(replace);
   e.u32(static_cast<std::uint32_t>(sysnames.size()));
@@ -260,17 +215,17 @@ Result<void> NameClient::bind(sim::Process& self, const std::string& name,
   CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
                                                  std::move(e).take()));
   Decoder d(reply);
-  return decodeStatus(d, "bind");
+  return net::decodeStatus(d, "bind failed at name server");
 }
 
 Result<Binding> NameClient::lookup(sim::Process& self, const std::string& name) {
   Encoder e;
-  e.u8(51);
+  e.u8(static_cast<std::uint8_t>(NameOp::lookup));
   e.str(name);
   CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
                                                  std::move(e).take()));
   Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "lookup"));
+  CLOUDS_TRY(net::decodeStatus(d, "lookup failed at name server"));
   CLOUDS_TRY_ASSIGN(count, d.u32());
   Binding b;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -282,32 +237,32 @@ Result<Binding> NameClient::lookup(sim::Process& self, const std::string& name) 
 
 Result<void> NameClient::unbind(sim::Process& self, const std::string& name) {
   Encoder e;
-  e.u8(52);
+  e.u8(static_cast<std::uint8_t>(NameOp::unbind));
   e.str(name);
   CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
                                                  std::move(e).take()));
   Decoder d(reply);
-  return decodeStatus(d, "unbind");
+  return net::decodeStatus(d, "unbind failed at name server");
 }
 
 Result<void> NameClient::forward(sim::Process& self, const Sysname& from, const Sysname& to) {
   Encoder e;
-  e.u8(54);
+  e.u8(static_cast<std::uint8_t>(NameOp::forward));
   e.sysname(from);
   e.sysname(to);
   CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
                                                  std::move(e).take()));
   Decoder d(reply);
-  return decodeStatus(d, "forward");
+  return net::decodeStatus(d, "forward failed at name server");
 }
 
 Result<std::vector<std::string>> NameClient::list(sim::Process& self) {
   Encoder e;
-  e.u8(53);
+  e.u8(static_cast<std::uint8_t>(NameOp::list));
   CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
                                                  std::move(e).take()));
   Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "list"));
+  CLOUDS_TRY(net::decodeStatus(d, "list failed at name server"));
   CLOUDS_TRY_ASSIGN(count, d.u32());
   std::vector<std::string> names;
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -24,44 +24,29 @@ std::string Workstation::joinedOutput(WindowId window, const std::string& sep) {
 
 Bytes Workstation::serve(sim::Process& self, const Bytes& request) {
   node_.cpu().compute(self, node_.cost().syscall);
-  Decoder d(request);
-  Encoder reply;
-  auto op = d.u8();
-  auto window = d.u32();
-  if (!op.ok() || !window.ok()) {
-    reply.u8(static_cast<std::uint8_t>(Errc::bad_argument));
-    return std::move(reply).take();
-  }
-  Terminal& term = windows_[window.value()];
-  switch (static_cast<IoOp>(op.value())) {
-    case IoOp::write: {
-      auto text = d.str();
-      if (!text.ok()) {
-        reply.u8(static_cast<std::uint8_t>(Errc::bad_argument));
-        break;
+  return net::answer(request, [this](Decoder& d, Encoder& reply) -> Result<void> {
+    CLOUDS_TRY_ASSIGN(op, d.u8());
+    CLOUDS_TRY_ASSIGN(window, d.u32());
+    Terminal& term = windows_[window];
+    switch (static_cast<IoOp>(op)) {
+      case IoOp::write: {
+        CLOUDS_TRY_ASSIGN(text, d.str());
+        term.output.push_back(std::move(text));
+        node_.simulation().trace(node_.name(), "tty",
+                                 "w" + std::to_string(window) + ": " + term.output.back());
+        return okResult();
       }
-      term.output.push_back(std::move(text).value());
-      node_.simulation().trace(node_.name(), "tty",
-                               "w" + std::to_string(window.value()) + ": " + term.output.back());
-      reply.u8(static_cast<std::uint8_t>(Errc::ok));
-      break;
-    }
-    case IoOp::read_line: {
-      if (term.input.empty()) {
+      case IoOp::read_line:
         // No input pending: the paper's user would type; our deterministic
         // terminals fail fast instead of blocking forever.
-        reply.u8(static_cast<std::uint8_t>(Errc::not_found));
-        break;
-      }
-      reply.u8(static_cast<std::uint8_t>(Errc::ok));
-      reply.str(term.input.front());
-      term.input.pop_front();
-      break;
+        if (term.input.empty()) return makeError(Errc::not_found, "no input pending");
+        reply.str(term.input.front());
+        term.input.pop_front();
+        return okResult();
+      default:
+        return makeError(Errc::bad_argument, "unknown user I/O op");
     }
-    default:
-      reply.u8(static_cast<std::uint8_t>(Errc::bad_argument));
-  }
-  return std::move(reply).take();
+  });
 }
 
 Result<void> IoClient::write(sim::Process& self, net::NodeId workstation, WindowId window,
@@ -73,11 +58,7 @@ Result<void> IoClient::write(sim::Process& self, net::NodeId workstation, Window
   CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, workstation, net::kPortUserIo,
                                                  std::move(e).take()));
   Decoder d(reply);
-  CLOUDS_TRY_ASSIGN(status, d.u8());
-  if (static_cast<Errc>(status) != Errc::ok) {
-    return makeError(static_cast<Errc>(status), "terminal write failed");
-  }
-  return okResult();
+  return net::decodeStatus(d, "terminal write failed");
 }
 
 Result<std::string> IoClient::readLine(sim::Process& self, net::NodeId workstation,
@@ -88,10 +69,7 @@ Result<std::string> IoClient::readLine(sim::Process& self, net::NodeId workstati
   CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, workstation, net::kPortUserIo,
                                                  std::move(e).take()));
   Decoder d(reply);
-  CLOUDS_TRY_ASSIGN(status, d.u8());
-  if (static_cast<Errc>(status) != Errc::ok) {
-    return makeError(static_cast<Errc>(status), "terminal read failed (no input pending?)");
-  }
+  CLOUDS_TRY(net::decodeStatus(d, "terminal read failed (no input pending?)"));
   return d.str();
 }
 

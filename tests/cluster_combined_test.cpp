@@ -88,5 +88,52 @@ TEST(CombinedNodes, GcpCommitWorksWithLocalParticipant) {
   EXPECT_EQ(c.call("Bank", "total", {}, 1).value(), Value{400});
 }
 
+TEST(CombinedNodes, LocallyHomedSegmentOpsStayOffTheWire) {
+  // Every DSM op on a segment homed on the combined machine itself is a
+  // syscall into the co-located data server: no RaTP transaction, no frame.
+  // Gossip is off so nothing else on the machine talks meanwhile.
+  ClusterConfig cfg = combinedConfig();
+  cfg.sched.gossip = false;
+  Cluster c(cfg);
+  c.run();
+  ra::Node& node = c.computeNode(1);
+  dsm::DsmClientPartition& dsm = c.dsmClient(1);
+  const auto counter = [&](const std::string& what) {
+    return c.sim().metrics().counterValue(node.name() + "/" + what);
+  };
+  const std::uint64_t txns_before = counter("ratp/transactions");
+  const std::uint64_t frames_before = counter("eth/frames_sent");
+
+  Sysname seg;
+  Errc stat_after_destroy = Errc::ok;
+  c.sim().spawn("local", [&](sim::Process& self) {
+    auto created = dsm.createSegment(self, node.id(), 4 * ra::kPageSize);
+    ASSERT_TRUE(created.ok());
+    seg = created.value();
+    auto info = dsm.stat(self, seg);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info.value().length, 4 * ra::kPageSize);
+    auto page = dsm.resolvePage(self, {seg, 2}, ra::Access::write);
+    ASSERT_TRUE(page.ok());
+    page.value().data[0] = std::byte{0x5a};
+    ASSERT_TRUE(dsm.flushSegment(self, seg).ok());
+    ASSERT_TRUE(dsm.destroySegment(self, seg).ok());
+    stat_after_destroy = dsm.stat(self, seg).code();
+  });
+  c.run();
+  EXPECT_EQ(counter("ratp/transactions"), txns_before);
+  EXPECT_EQ(counter("eth/frames_sent"), frames_before);
+  EXPECT_EQ(stat_after_destroy, Errc::not_found);
+
+  // A diskless compute server asking the same question over the wire gets
+  // the same code.
+  Errc remote_stat = Errc::ok;
+  c.sim().spawn("remote", [&](sim::Process& self) {
+    remote_stat = c.dsmClient(0).stat(self, seg).code();
+  });
+  c.run();
+  EXPECT_EQ(remote_stat, Errc::not_found);
+}
+
 }  // namespace
 }  // namespace clouds

@@ -215,13 +215,48 @@ TEST(DsmEdge, MalformedRequestsAnswerBadArgument) {
       auto reply = f.compute[0].node->ratp().transact(self, f.data[0].node->id(), r.port, r.body);
       ASSERT_TRUE(reply.ok()) << r.what;
       Decoder d(reply.value());
-      EXPECT_EQ(dsm::decodeStatus(d, r.what).code(), Errc::bad_argument)
+      EXPECT_EQ(net::decodeStatus(d, r.what).code(), Errc::bad_argument)
           << r.what << " on port " << r.port;
     }
   });
   f.sim.run();
   EXPECT_TRUE(f.data[0].store->preparedTxids().empty());
   EXPECT_EQ(f.sim.metrics().counterValue(disk_writes), writes_before);
+}
+
+TEST(DsmEdge, TruncatedCallbackAnswersBadArgumentAndLeavesTheFrame) {
+  // The compute side of kPortDsm refuses a coherence callback it cannot
+  // decode before touching the frame: the dirty exclusive copy survives.
+  EdgeBed f(1, 1);
+  const std::string cpu = f.compute[0].node->name();
+  std::vector<Bytes> bodies;
+  for (bool with_page : {false, true}) {
+    Encoder e;  // invalidate, its PageKey or version missing
+    e.u8(static_cast<std::uint8_t>(dsm::Op::invalidate));
+    e.sysname(f.seg);
+    if (with_page) e.u32(0);
+    bodies.push_back(std::move(e).take());
+  }
+  std::size_t refused = 0;
+  f.sim.spawn("driver", [&](sim::Process& self) {
+    f.write64(self, 0, 0, 77);
+    const std::uint64_t faults = f.sim.metrics().counterValue(cpu + "/dsm/write_faults");
+    for (const Bytes& b : bodies) {
+      auto reply =
+          f.data[0].node->ratp().transact(self, f.compute[0].node->id(), net::kPortDsm, b);
+      ASSERT_TRUE(reply.ok());
+      ASSERT_FALSE(reply.value().empty());
+      EXPECT_EQ(static_cast<Errc>(reply.value().front()), Errc::bad_argument);
+      ++refused;
+    }
+    // Still exclusive and dirty: a write is a hit, and the bytes are there.
+    f.write64(self, 0, 0, 78);
+    EXPECT_EQ(f.sim.metrics().counterValue(cpu + "/dsm/write_faults"), faults);
+    EXPECT_EQ(f.read64(self, 0, 0), 78u);
+  });
+  f.sim.run();
+  EXPECT_EQ(refused, bodies.size());
+  EXPECT_EQ(f.sim.metrics().counterValue(cpu + "/dsm/frames_invalidated"), 0u);
 }
 
 TEST(DsmEdge, SegmentsOnTwoServersAreIndependent) {

@@ -106,6 +106,76 @@ TEST(NameServer, LoadFromMissingFileFails) {
   EXPECT_FALSE(f.names.loadFrom("/nonexistent/dir/clouds_names.bin").ok());
 }
 
+// Send hand-built request bodies to `port` on `server`; returns each reply's
+// status byte (Errc::internal for a reply with none).
+std::vector<Errc> sendRaw(SysobjBed& f, net::NodeId server, net::PortId port,
+                          const std::vector<Bytes>& bodies) {
+  std::vector<Errc> codes;
+  f.sim.spawn("raw", [&](sim::Process& self) {
+    for (const Bytes& body : bodies) {
+      auto reply = f.compute[0].node->ratp().transact(self, server, port, body);
+      codes.push_back(!reply.ok() || reply.value().empty()
+                          ? Errc::internal
+                          : static_cast<Errc>(reply.value().front()));
+    }
+  });
+  f.sim.run();
+  return codes;
+}
+
+template <typename Build>
+Bytes body(Build&& build) {
+  Encoder e;
+  build(e);
+  return std::move(e).take();
+}
+
+TEST(NameServer, MalformedRequestsAnswerBadArgumentAndBindNothing) {
+  SysobjBed f;
+  constexpr std::uint8_t kBind = 50;  // name-service op bytes (docs/PROTOCOLS.md)
+  const std::vector<Bytes> bodies{
+      body([](Encoder&) {}),
+      body([](Encoder& e) { e.u8(99); }),
+      body([](Encoder& e) {  // name length announces more bytes than follow
+        e.u8(kBind);
+        e.u32(16);
+        e.u8('x');
+      }),
+      body([](Encoder& e) {  // count exceeds the sysnames that follow
+        e.u8(kBind);
+        e.str("ghost");
+        e.boolean(false);
+        e.u32(2);
+        e.sysname(ra::makeHomedSysname(100, 1));
+      }),
+  };
+  const std::vector<Errc> codes = sendRaw(f, f.data[0].node->id(), net::kPortNaming, bodies);
+  ASSERT_EQ(codes.size(), bodies.size());
+  for (Errc code : codes) EXPECT_EQ(code, Errc::bad_argument);
+  EXPECT_TRUE(f.names.list().empty());
+}
+
+TEST(UserIo, MalformedRequestsAnswerBadArgumentAndPrintNothing) {
+  SysobjBed f;
+  constexpr std::uint8_t kWrite = 60;  // user I/O op byte (docs/PROTOCOLS.md)
+  const std::vector<Bytes> bodies{
+      body([](Encoder&) {}),
+      body([](Encoder& e) {
+        e.u8(99);
+        e.u32(0);
+      }),
+      body([](Encoder& e) {  // write without its text
+        e.u8(kWrite);
+        e.u32(5);
+      }),
+  };
+  const std::vector<Errc> codes = sendRaw(f, f.ws_node->id(), net::kPortUserIo, bodies);
+  ASSERT_EQ(codes.size(), bodies.size());
+  for (Errc code : codes) EXPECT_EQ(code, Errc::bad_argument);
+  EXPECT_TRUE(f.ws->output(0).empty());
+  EXPECT_TRUE(f.ws->output(5).empty());
+}
+
 TEST(UserIo, WritesRouteToWindowAndReadsConsumeInput) {
   SysobjBed f;
   sysobj::IoClient io(*f.compute[0].node);
