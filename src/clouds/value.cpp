@@ -2,6 +2,12 @@
 
 namespace clouds::obj {
 
+Value::Value(const Value&) = default;
+Value::Value(Value&&) noexcept = default;
+Value& Value::operator=(const Value&) = default;
+Value& Value::operator=(Value&&) noexcept = default;
+Value::~Value() = default;
+
 namespace {
 Error typeError(const char* want) {
   return makeError(Errc::bad_argument, std::string("value is not ") + want);

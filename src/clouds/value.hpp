@@ -25,6 +25,14 @@ using ValueList = std::vector<Value>;
 class Value {
  public:
   Value() = default;
+  // Copy, move and destruction are defined out of line (value.cpp). Inlined
+  // at a call site that has just built a scalar Value, std::variant's move
+  // makes GCC 12 warn -Wmaybe-uninitialized about the other alternatives.
+  Value(const Value&);
+  Value(Value&&) noexcept;
+  Value& operator=(const Value&);
+  Value& operator=(Value&&) noexcept;
+  ~Value();
   Value(std::int64_t v) : v_(v) {}            // NOLINT(google-explicit-constructor)
   Value(int v) : v_(std::int64_t{v}) {}       // NOLINT(google-explicit-constructor)
   Value(double v) : v_(v) {}                  // NOLINT(google-explicit-constructor)

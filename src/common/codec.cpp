@@ -59,12 +59,16 @@ Result<std::string> Decoder::str() {
 }
 
 Result<Bytes> Decoder::bytes() {
+  CLOUDS_TRY_ASSIGN(view, bytesView());
+  return Bytes(view.begin(), view.end());
+}
+
+Result<ByteSpan> Decoder::bytesView() {
   CLOUDS_TRY_ASSIGN(n, u32());
   if (remaining() < n) return underflow(n);
-  Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-          data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const ByteSpan view = data_.subspan(pos_, n);
   pos_ += n;
-  return b;
+  return view;
 }
 
 Result<Sysname> Decoder::sysname() {

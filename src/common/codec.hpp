@@ -21,6 +21,10 @@ class Encoder {
  public:
   Encoder() = default;
 
+  // Make room for `n` more bytes, so a message whose size is known up front
+  // is written with one allocation.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   void u8(std::uint8_t v) { raw(&v, 1); }
   void u16(std::uint16_t v) { writeInt(v); }
   void u32(std::uint32_t v) { writeInt(v); }
@@ -65,6 +69,9 @@ class Decoder {
   Result<bool> boolean();
   Result<std::string> str();
   Result<Bytes> bytes();
+  // The same length-prefixed field as bytes(), without the copy: the span
+  // aliases the decoder's input and is valid only while that input lives.
+  Result<ByteSpan> bytesView();
   Result<Sysname> sysname();
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }

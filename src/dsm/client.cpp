@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <ranges>
 
 #include "dsm/server.hpp"
 
@@ -10,6 +12,20 @@ namespace clouds::dsm {
 namespace {
 bool isCallbackOp(std::uint8_t op) {
   return static_cast<Op>(op) == Op::invalidate || static_cast<Op>(op) == Op::degrade;
+}
+
+// The first key past every page of `segment`.
+ra::PageKey pastSegment(const Sysname& segment) {
+  return ra::PageKey{segment, std::numeric_limits<ra::PageIndex>::max()};
+}
+
+// frames_ is ordered by (segment, page), so one segment's frames are one
+// contiguous run, in page order: a per-segment hook costs O(log frames +
+// pages of the segment), not a walk of every frame on the node.
+template <typename FrameMap>
+auto segmentFrames(FrameMap& frames, const Sysname& segment) {
+  return std::ranges::subrange(frames.lower_bound(ra::PageKey{segment, 0}),
+                               frames.upper_bound(pastSegment(segment)));
 }
 }  // namespace
 
@@ -68,12 +84,16 @@ std::size_t DsmClientPartition::purgeHomedOn(net::NodeId home) {
 std::vector<Sysname> DsmClientPartition::cachedSegments(std::size_t max) const {
   std::vector<Sysname> out;
   // frames_ is ordered by (segment, page), so a segment's frames are
-  // contiguous and the result comes out sorted without extra work.
-  for (const auto& [key, frame] : frames_) {
-    if (frame.state == FState::invalid) continue;
-    if (!out.empty() && out.back() == key.segment) continue;
+  // contiguous and the result comes out sorted without extra work. Once a
+  // segment is recorded, skip the rest of its frames in one jump.
+  for (auto it = frames_.begin(); it != frames_.end();) {
+    if (it->second.state == FState::invalid) {
+      ++it;
+      continue;
+    }
     if (out.size() == max) break;
-    out.push_back(key.segment);
+    out.push_back(it->first.segment);
+    it = frames_.upper_bound(pastSegment(it->first.segment));
   }
   return out;
 }
@@ -337,8 +357,8 @@ Result<void> DsmClientPartition::destroySegment(sim::Process& self, const Sysnam
 Result<void> DsmClientPartition::flushSegment(sim::Process& self, const Sysname& segment) {
   // Collect first: sendWriteBack blocks, and callbacks may mutate frames_.
   std::vector<ra::PageKey> dirty;
-  for (const auto& [key, f] : frames_) {
-    if (key.segment == segment && f.state == FState::exclusive && f.dirty) dirty.push_back(key);
+  for (const auto& [key, f] : segmentFrames(frames_, segment)) {
+    if (f.state == FState::exclusive && f.dirty) dirty.push_back(key);
   }
   // Ship in bounded batches (one exchange, one batched store write each);
   // frames are re-checked at batch-build time since an earlier batch may
@@ -385,8 +405,7 @@ void DsmClientPartition::dropSegment(const Sysname& segment) {
   // compute() holds a Frame& into this map, and a concurrent transaction
   // rollback (or migration) landing here would free it mid-fault. Stale
   // entries are reclaimed later by maybeEvict, which skips in-flight keys.
-  for (auto& [key, f] : frames_) {
-    if (key.segment != segment) continue;
+  for (auto& [key, f] : segmentFrames(frames_, segment)) {
     f.state = FState::invalid;
     f.dirty = false;
     f.version = 0;
@@ -397,18 +416,14 @@ void DsmClientPartition::dropSegment(const Sysname& segment) {
 std::vector<store::PageUpdate> DsmClientPartition::collectDirtyPages(
     const Sysname& segment) const {
   std::vector<store::PageUpdate> out;
-  for (const auto& [key, f] : frames_) {
-    if (key.segment == segment && f.state == FState::exclusive && f.dirty) {
-      out.push_back(store::PageUpdate{key, f.data});
-    }
+  for (const auto& [key, f] : segmentFrames(frames_, segment)) {
+    if (f.state == FState::exclusive && f.dirty) out.push_back(store::PageUpdate{key, f.data});
   }
   return out;
 }
 
 void DsmClientPartition::markSegmentClean(const Sysname& segment) {
-  for (auto& [key, f] : frames_) {
-    if (key.segment == segment) f.dirty = false;
-  }
+  for (auto& [key, f] : segmentFrames(frames_, segment)) f.dirty = false;
 }
 
 }  // namespace clouds::dsm

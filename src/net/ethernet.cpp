@@ -73,7 +73,7 @@ void Nic::send(sim::Process& self, Frame frame) {
   frame.src = addr_;
   cpu_.compute(self, ether_.cost().eth_cpu_send);
   ++*m_sent_;
-  ether_.transmit(frame);
+  ether_.transmit(std::move(frame));
 }
 
 void Nic::setHandler(ProtocolId protocol, Handler handler) {
@@ -121,7 +121,7 @@ Nic* Ethernet::find(NodeId addr) noexcept {
   return nullptr;
 }
 
-void Ethernet::transmit(const Frame& frame) {
+void Ethernet::transmit(Frame frame) {
   // Fault injection happens at the medium: a dropped frame still occupies
   // wire time (collisions/noise do on a real Ethernet).
   bool drop = false;
@@ -153,10 +153,12 @@ void Ethernet::transmit(const Frame& frame) {
   }
   if (duplicate) ++*m_dup_;
   const sim::TimePoint arrival = medium_free_at_ + cost_.eth_propagation;
-  const int copies = duplicate ? 2 : 1;
-  for (int i = 0; i < copies; ++i) {
-    sim_.schedule(arrival - sim_.now(), [this, frame] { deliver(frame); });
+  if (duplicate) {
+    sim_.schedule(arrival - sim_.now(),
+                  [this, dup = frame]() mutable { deliver(std::move(dup)); });
   }
+  sim_.schedule(arrival - sim_.now(),
+                [this, f = std::move(frame)]() mutable { deliver(std::move(f)); });
 }
 
 namespace {
@@ -194,7 +196,7 @@ bool Ethernet::partitioned(NodeId a, NodeId b) const noexcept {
   return blocked_pairs_.count(pairKey(a, b)) != 0;
 }
 
-void Ethernet::deliver(const Frame& frame) {
+void Ethernet::deliver(Frame frame) {
   if (frame.dst == kBroadcast) {
     // One frame on the shared wire, heard by every other interface. A
     // partition suppresses reception per receiver: the frame crossed the
@@ -216,7 +218,7 @@ void Ethernet::deliver(const Frame& frame) {
     ++*m_dropped_;
     return;
   }
-  dst->enqueueReceived(frame);
+  dst->enqueueReceived(std::move(frame));
 }
 
 }  // namespace clouds::net

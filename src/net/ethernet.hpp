@@ -149,8 +149,10 @@ class Ethernet {
 
  private:
   friend class Nic;
-  void transmit(const Frame& frame);  // called with sender CPU cost already paid
-  void deliver(const Frame& frame);
+  // The frame is moved from the sender to the receiver's queue; it is copied
+  // only for an injected duplicate or for each receiver of a broadcast.
+  void transmit(Frame frame);  // called with sender CPU cost already paid
+  void deliver(Frame frame);
 
   sim::Simulation& sim_;
   const sim::CostModel& cost_;

@@ -12,6 +12,22 @@ constexpr std::size_t kFragHeader = 1 + 8 + 2 + 2 + 2 + 4;
 // requests. Far above the client's full retry horizon, so a transaction id
 // can never be re-executed.
 constexpr sim::Duration kReplyCacheTtl = sim::sec(5);
+
+// Reassemble a complete message with at most one copy: a single fragment
+// is moved whole, several are concatenated once. Each slot is left empty
+// but present, so a late duplicate fragment is still recognised.
+Bytes joinFragments(std::vector<std::optional<Bytes>>& frags) {
+  if (frags.size() == 1) return std::move(*frags.front());
+  std::size_t total = 0;
+  for (const auto& f : frags) total += f->size();
+  Bytes message;
+  message.reserve(total);
+  for (auto& f : frags) {
+    message.insert(message.end(), f->begin(), f->end());
+    *f = Bytes();
+  }
+  return message;
+}
 }  // namespace
 
 Result<void> decodeStatus(Decoder& d, std::string_view message) {
@@ -125,6 +141,7 @@ void RatpEndpoint::sendMessage(sim::Process& self, NodeId dst, PacketType type,
     const std::size_t off = static_cast<std::size_t>(index) * capacity;
     const std::size_t len = std::min(capacity, message.size() - off);
     Encoder e;
+    e.reserve(kFragHeader + len);
     e.u8(static_cast<std::uint8_t>(type));
     e.u64(txid);
     e.u16(port);
@@ -150,7 +167,7 @@ void RatpEndpoint::onFrame(sim::Process& self, const Frame& frame) {
   auto port = d.u16();
   auto index = d.u16();
   auto count = d.u16();
-  auto data = d.bytes();
+  auto data = d.bytesView();  // aliases frame.payload, which outlives this call
   if (!type.ok() || !txid.ok() || !port.ok() || !index.ok() || !count.ok() || !data.ok() ||
       count.value() == 0 || index.value() >= count.value()) {
     simulation().trace(name_, "ratp", "malformed frame dropped");
@@ -159,16 +176,16 @@ void RatpEndpoint::onFrame(sim::Process& self, const Frame& frame) {
   switch (static_cast<PacketType>(type.value())) {
     case PacketType::request:
       onRequestFrag(self, frame.src, txid.value(), port.value(), index.value(), count.value(),
-                    std::move(data).value());
+                    data.value());
       break;
     case PacketType::reply:
-      onReplyFrag(self, txid.value(), index.value(), count.value(), std::move(data).value());
+      onReplyFrag(self, txid.value(), index.value(), count.value(), data.value());
       break;
   }
 }
 
 void RatpEndpoint::onRequestFrag(sim::Process& self, NodeId src, std::uint64_t txid, PortId port,
-                                 std::uint16_t index, std::uint16_t count, Bytes data) {
+                                 std::uint16_t index, std::uint16_t count, ByteSpan data) {
   // Lazily evict records older than the reply-cache TTL; by then their
   // clients have long stopped retransmitting. Done before the lookup below
   // so a stale record for this very key cannot shadow the new transaction.
@@ -187,12 +204,13 @@ void RatpEndpoint::onRequestFrag(sim::Process& self, NodeId src, std::uint64_t t
     // once per full retransmitted request (on its final fragment).
     if (index + 1 == count) {
       ++*m_cache_hits_;
-      sendMessage(self, src, PacketType::reply, txid, port, st.reply);
+      const std::shared_ptr<const Bytes> reply = st.reply;
+      sendMessage(self, src, PacketType::reply, txid, port, *reply);
     }
     return;
   }
   if (index < st.frags.size() && !st.frags[index].has_value()) {
-    st.frags[index] = std::move(data);
+    st.frags[index].emplace(data.begin(), data.end());
     ++st.received;
   }
   if (st.received == st.frags.size() && !st.dispatched) {
@@ -202,10 +220,7 @@ void RatpEndpoint::onRequestFrag(sim::Process& self, NodeId src, std::uint64_t t
     item.txid = txid;
     item.client = src;
     item.port = port;
-    for (auto& f : st.frags) {
-      item.request.insert(item.request.end(), f->begin(), f->end());
-      f->clear();
-    }
+    item.request = joinFragments(st.frags);
     dispatch(std::move(item));
   }
 }
@@ -240,25 +255,25 @@ void RatpEndpoint::workerLoop(sim::Process& self) {
                          "request for unbound port " + std::to_string(item.port) + " ignored");
       continue;  // no reply: the client will time out
     }
-    Bytes reply = it->second(self, item.client, item.request);
+    const auto reply = std::make_shared<const Bytes>(it->second(self, item.client, item.request));
     auto st = server_txs_.find(std::make_pair(item.client, item.txid));
     if (st != server_txs_.end()) {
       st->second.reply = reply;
       st->second.replied = true;
     }
-    sendMessage(self, item.client, PacketType::reply, item.txid, item.port, reply);
+    sendMessage(self, item.client, PacketType::reply, item.txid, item.port, *reply);
   }
 }
 
 void RatpEndpoint::onReplyFrag(sim::Process& self, std::uint64_t txid, std::uint16_t index,
-                               std::uint16_t count, Bytes data) {
+                               std::uint16_t count, ByteSpan data) {
   auto it = pending_.find(txid);
   if (it == pending_.end()) return;  // stale duplicate of a finished transaction
   PendingTx& tx = it->second;
   if (tx.complete) return;
   if (tx.frags.empty()) tx.frags.resize(count);
   if (index >= tx.frags.size() || tx.frags[index].has_value()) return;
-  tx.frags[index] = std::move(data);
+  tx.frags[index].emplace(data.begin(), data.end());
   if (++tx.received < tx.frags.size()) return;
   nic_.cpu().compute(self, cost().ratp_reassembly);
   // The compute blocks: if the waiter's final deadline fired meanwhile, its
@@ -266,10 +281,7 @@ void RatpEndpoint::onReplyFrag(sim::Process& self, std::uint64_t txid, std::uint
   it = pending_.find(txid);
   if (it == pending_.end()) return;
   PendingTx& done = it->second;
-  for (auto& f : done.frags) {
-    done.reply.insert(done.reply.end(), f->begin(), f->end());
-    f->clear();
-  }
+  done.reply = joinFragments(done.frags);
   done.complete = true;
   done.waiter->wake();
 }

@@ -23,6 +23,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -127,7 +128,10 @@ class RatpEndpoint {
     std::size_t received = 0;
     bool dispatched = false;
     bool replied = false;
-    Bytes reply;  // cached for duplicate requests until TTL eviction
+    // Cached for duplicate requests until TTL eviction. Shared, never
+    // copied: whoever sends it holds its own reference, because eviction
+    // may erase this record while a send blocks.
+    std::shared_ptr<const Bytes> reply;
   };
   struct WorkItem {
     std::uint64_t txid = 0;
@@ -138,9 +142,9 @@ class RatpEndpoint {
 
   void onFrame(sim::Process& self, const Frame& frame);
   void onRequestFrag(sim::Process& self, NodeId src, std::uint64_t txid, PortId port,
-                     std::uint16_t index, std::uint16_t count, Bytes data);
+                     std::uint16_t index, std::uint16_t count, ByteSpan data);
   void onReplyFrag(sim::Process& self, std::uint64_t txid, std::uint16_t index,
-                   std::uint16_t count, Bytes data);
+                   std::uint16_t count, ByteSpan data);
   void sendMessage(sim::Process& self, NodeId dst, PacketType type, std::uint64_t txid,
                    PortId port, const Bytes& message);
   void dispatch(WorkItem item);

@@ -62,6 +62,69 @@ TEST(Codec, TruncatedStringIsError) {
   EXPECT_FALSE(d.str().ok());
 }
 
+TEST(Codec, BytesViewAliasesTheInput) {
+  Encoder e;
+  const Bytes blob = toBytes("fragment payload");
+  e.u8(1);
+  e.bytes(blob);
+  e.bytes(ByteSpan());  // a zero-length field
+  e.u8(2);
+
+  const Bytes& wire = e.buffer();
+  Decoder d(wire);
+  EXPECT_EQ(d.u8().value(), 1);
+  auto view = d.bytesView();
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(Bytes(view.value().begin(), view.value().end()), blob);
+  // No copy: the span points into the encoder's buffer, after the u8 and
+  // the 4-byte length prefix.
+  EXPECT_EQ(view.value().data(), wire.data() + 1 + 4);
+  auto empty = d.bytesView();
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.value().empty());
+  EXPECT_EQ(d.u8().value(), 2);
+  EXPECT_TRUE(d.atEnd());
+}
+
+TEST(Codec, TruncatedBytesFieldIsError) {
+  Encoder e;
+  e.u32(9);  // claims 9 bytes follow; 3 do
+  e.u8(1);
+  e.u8(2);
+  e.u8(3);
+  Decoder view_decoder(e.buffer());
+  auto view = view_decoder.bytesView();
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.code(), Errc::bad_argument);
+  Decoder copy_decoder(e.buffer());
+  auto copy = copy_decoder.bytes();
+  ASSERT_FALSE(copy.ok());
+  EXPECT_EQ(copy.code(), Errc::bad_argument);
+  // A field too short to hold even its length prefix fails the same way.
+  const Bytes stub(2, std::byte{0});
+  Decoder short_decoder(stub);
+  EXPECT_EQ(short_decoder.bytesView().code(), Errc::bad_argument);
+}
+
+TEST(Codec, ReserveKeepsContentsAndAllocatesOnce) {
+  Encoder e;
+  e.u16(0xbeef);
+  e.reserve(1 + 8 + 4 + 5);
+  const std::byte* before = e.buffer().data();
+  EXPECT_GE(e.buffer().capacity(), e.size() + 1 + 8 + 4 + 5);
+  e.u8(7);
+  e.u64(42);
+  e.bytes(toBytes("hello"));
+  EXPECT_EQ(e.buffer().data(), before);  // filled within the reservation
+  EXPECT_EQ(e.size(), 2u + 1 + 8 + 4 + 5);
+  Decoder d(e.buffer());
+  EXPECT_EQ(d.u16().value(), 0xbeef);
+  EXPECT_EQ(d.u8().value(), 7);
+  EXPECT_EQ(d.u64().value(), 42u);
+  EXPECT_EQ(d.bytes().value(), toBytes("hello"));
+  EXPECT_TRUE(d.atEnd());
+}
+
 TEST(Codec, BadBooleanRejected) {
   Encoder e;
   e.u8(7);

@@ -377,5 +377,117 @@ TEST(DsmEdge, DropSegmentDuringBlockedFaultKeepsFrameAlive) {
   f.sim.run();
 }
 
+
+TEST(DsmEdge, SegmentHooksTouchOnlyTheirOwnSegment) {
+  // The per-segment hooks read one contiguous run of the (segment, page)
+  // ordered frame map. Segments a and b are neighbours in that order (same
+  // home, consecutive sysnames), a holds an invalid frame between valid
+  // ones, d holds only an invalid frame, and e has no frames at all.
+  EdgeBed f;
+  auto make = [&] { return f.data[0].store->createSegment(8 * kPageSize).value(); };
+  const Sysname a = make();
+  const Sysname b = make();
+  const Sysname e = make();
+  const Sysname d = make();
+  const Sysname c = make();
+  ASSERT_EQ(b.lo(), a.lo() + 1);
+  ASSERT_EQ(b.hi(), a.hi());
+  ASSERT_TRUE(a < b && b < e && e < d && d < c);
+  dsm::DsmClientPartition& dsm = *f.compute[0].dsm;
+
+  auto write = [&](sim::Process& self, int node, const Sysname& seg, std::uint32_t page,
+                   std::uint64_t v) {
+    auto h = f.compute[static_cast<std::size_t>(node)].dsm->resolvePage(self, {seg, page},
+                                                                        Access::write);
+    ASSERT_TRUE(h.ok());
+    std::memcpy(h.value().data, &v, 8);
+  };
+  // (page, first word) of every page collectDirtyPages returns, in order.
+  auto dirty = [&](const Sysname& seg) {
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+    for (const store::PageUpdate& u : dsm.collectDirtyPages(seg)) {
+      EXPECT_EQ(u.key.segment, seg);
+      std::uint64_t v = 0;
+      std::memcpy(&v, u.data.data(), 8);
+      out.emplace_back(u.key.page, v);
+    }
+    return out;
+  };
+  using Pages = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+  const Pages a_dirty{{0, 10}, {2, 12}, {5, 15}};
+  const Pages b_dirty{{0, 20}, {1, 21}};
+  // Brute force: every candidate segment in sysname order that still has a
+  // valid frame on node 0, capped at max.
+  auto expected = [&](const std::vector<std::pair<Sysname, bool>>& valid, std::size_t max) {
+    std::vector<Sysname> out;
+    for (const auto& [seg, has_valid] : valid) {
+      if (has_valid && out.size() < max) out.push_back(seg);
+    }
+    return out;
+  };
+  auto checkCached = [&](const std::vector<std::pair<Sysname, bool>>& valid) {
+    for (std::size_t max : {0, 1, 2, 3, 4, 8}) {
+      EXPECT_EQ(dsm.cachedSegments(max), expected(valid, max)) << "max " << max;
+    }
+  };
+
+  f.sim.spawn("driver", [&](sim::Process& self) {
+    // Written out of page order; the frame map hands them back sorted.
+    write(self, 0, a, 5, 15);
+    write(self, 0, a, 0, 10);
+    write(self, 0, a, 3, 13);
+    write(self, 0, a, 2, 12);
+    write(self, 0, b, 1, 21);
+    write(self, 0, b, 0, 20);
+    write(self, 0, d, 0, 40);
+    EXPECT_EQ(f.read64(self, 0, 0), 0u);  // f.seg: one clean shared frame
+    auto h = dsm.resolvePage(self, {c, 0}, Access::read);
+    ASSERT_TRUE(h.ok());
+    // Node 1 takes a:3 and d:0, invalidating node 0's frames in place.
+    write(self, 1, a, 3, 99);
+    write(self, 1, d, 0, 99);
+
+    EXPECT_EQ(dirty(a), a_dirty);
+    EXPECT_EQ(dirty(b), b_dirty);
+    EXPECT_TRUE(dirty(d).empty());
+    EXPECT_TRUE(dirty(e).empty());
+    EXPECT_TRUE(dirty(c).empty());
+    checkCached({{f.seg, true}, {a, true}, {b, true}, {e, false}, {d, false}, {c, true}});
+
+    // Hooks on the frameless segment change nothing anywhere.
+    dsm.markSegmentClean(e);
+    dsm.dropSegment(e);
+    ASSERT_TRUE(dsm.flushSegment(self, e).ok());
+    EXPECT_EQ(dirty(a), a_dirty);
+    EXPECT_EQ(dirty(b), b_dirty);
+
+    dsm.markSegmentClean(b);
+    EXPECT_TRUE(dirty(b).empty());
+    EXPECT_EQ(dirty(a), a_dirty);
+
+    write(self, 0, b, 1, 31);  // still exclusive: dirty again without a fault
+    ASSERT_TRUE(dsm.flushSegment(self, b).ok());
+    EXPECT_TRUE(dirty(b).empty());
+    EXPECT_EQ(dirty(a), a_dirty);
+
+    dsm.dropSegment(a);
+    EXPECT_TRUE(dirty(a).empty());
+    checkCached({{f.seg, true}, {a, false}, {b, true}, {e, false}, {d, false}, {c, true}});
+  });
+  f.sim.run();
+  // The flush reached b's home; a's dropped writes did not.
+  f.sim.spawn("reader", [&](sim::Process& self) {
+    auto page = [&](const Sysname& seg, std::uint32_t p) {
+      auto h = f.compute[1].dsm->resolvePage(self, {seg, p}, Access::read);
+      std::uint64_t v = 0;
+      if (h.ok()) std::memcpy(&v, h.value().data, 8);
+      return v;
+    };
+    EXPECT_EQ(page(b, 1), 31u);
+    EXPECT_EQ(page(a, 0), 0u);
+  });
+  f.sim.run();
+}
+
 }  // namespace
 }  // namespace clouds::test

@@ -139,5 +139,78 @@ TEST(RatpEdge, ManyConcurrentClientsOneServer) {
   EXPECT_EQ(done, 8);
 }
 
+
+TEST(RatpEdge, ReplyOutlivesItsEvictedCacheRecord) {
+  // A handler runs past the reply-cache TTL and returns a many-fragment
+  // reply. Its worker then waits for the server's busy CPU inside
+  // sendMessage, and meanwhile the receive process takes a second client's
+  // request and the lazy TTL eviction erases the record that caches this
+  // reply. The worker must send from a buffer it owns: sending from the
+  // evicted record is a use-after-free (caught by the sanitized lane).
+  EdgeFixture f;
+  sim::CpuResource cpuC{f.cost.context_switch};
+  Nic& nicC = f.ether.attach(3, cpuC, "client2");
+  RatpEndpoint client2(nicC, "client2");
+  constexpr PortId kSlowPort = kPortStorage;
+  const std::size_t cap = f.cost.eth_mtu - 19 - 4;
+  const std::size_t reply_frags = 40;
+  Bytes big(reply_frags * cap - 5);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::byte>(i * 7 + i / 251);
+  // The slow handler returns at `returns_at`, in the last 1 ms CPU quantum
+  // of a 10 ms burst of other work on the server. The second request
+  // arrives early in that burst, so the receive process queues for the CPU
+  // ahead of the worker and runs the eviction first.
+  const sim::TimePoint returns_at = sim::sec(6) + sim::msec(3);
+  const sim::TimePoint burst_at = returns_at - sim::usec(9600);
+  const sim::TimePoint second_request_at = returns_at - sim::msec(7);
+
+  int slow_runs = 0;
+  f.server.bindService(kSlowPort, [&](sim::Process& self, NodeId, const Bytes&) {
+    ++slow_runs;
+    self.delay(returns_at - f.sim.now());  // past the 5 s reply-cache TTL
+    return big;
+  });
+  sim::TimePoint evicted_by = sim::kZero;
+  std::uint64_t frags_sent_at_eviction = ~std::uint64_t{0};
+  f.server.bindService(kPortEcho, [&](sim::Process&, NodeId, const Bytes& req) {
+    // Dispatch follows the eviction pass that erased the slow record.
+    evicted_by = f.sim.now();
+    frags_sent_at_eviction = f.sim.metrics().counterValue("server/ratp/fragments_sent");
+    return req;
+  });
+
+  bool slow_ok = false;
+  f.sim.spawn("slow-caller", [&](sim::Process& self) {
+    RatpOptions opts;
+    opts.timeout = sim::sec(10);  // longer than the handler: no retransmit
+    opts.max_retries = 0;
+    auto r = f.client.transact(self, 2, kSlowPort, toBytes("go"), opts);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    EXPECT_EQ(r.value(), big);
+    slow_ok = true;
+  });
+  f.sim.spawn("server-burst", [&](sim::Process& self) {
+    self.delay(burst_at - f.sim.now());
+    f.cpuB.compute(self, sim::msec(10));
+  });
+  f.sim.spawn("evicting-caller", [&](sim::Process& self) {
+    self.delay(second_request_at - f.sim.now());
+    RatpOptions opts;
+    opts.timeout = sim::sec(1);  // its reply queues behind the slow one
+    opts.max_retries = 0;
+    EXPECT_TRUE(client2.transact(self, 2, kPortEcho, toBytes("evict"), opts).ok());
+  });
+  f.sim.run();
+
+  EXPECT_TRUE(slow_ok);
+  EXPECT_EQ(slow_runs, 1);
+  EXPECT_EQ(f.sim.metrics().sumCounters("ratp/retransmits"), 0u);
+  EXPECT_EQ(f.sim.metrics().counterValue("server/ratp/reply_cache_hits"), 0u);
+  // The eviction landed inside the worker's sendMessage: after the handler
+  // returned and before the first reply fragment left.
+  EXPECT_GT(evicted_by, returns_at);
+  EXPECT_EQ(frags_sent_at_eviction, 0u);
+}
+
 }  // namespace
 }  // namespace clouds::net
