@@ -20,8 +20,26 @@ namespace {
 
 using namespace clouds;
 
-double runSort(int n_workers, std::int64_t keys, std::uint64_t seed,
-               const char* emit_metrics_label = nullptr) {
+constexpr std::int64_t kFillSeed = 9999;
+
+// The sum (mod 2^64) of the keys sorter.fill writes: its xorshift stream,
+// recomputed on the host. A sort that loses or duplicates keys changes it.
+std::int64_t expectedChecksum(std::int64_t keys) {
+  std::uint64_t x = static_cast<std::uint64_t>(kFillSeed) | 1;
+  std::uint64_t sum = 0;
+  for (std::int64_t i = 0; i < keys; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    sum += x;
+  }
+  return static_cast<std::int64_t>(sum);
+}
+
+// Simulated sort time in ms.
+Result<double> runSort(int n_workers, std::int64_t keys, std::uint64_t seed,
+                       const char* emit_metrics_label = nullptr) {
+  const Error failed = makeError(Errc::internal, "sort failed");
   ClusterConfig cfg;
   cfg.compute_servers = 8;
   cfg.data_servers = 1;
@@ -29,8 +47,8 @@ double runSort(int n_workers, std::int64_t keys, std::uint64_t seed,
   cfg.seed = seed;
   Cluster cluster(cfg);
   cluster.classes().registerClass(obj::samples::sorterClass());
-  if (!cluster.create("sorter", "S").ok()) return -1;
-  if (!cluster.call("S", "fill", {keys, 9999}).ok()) return -1;
+  if (!cluster.create("sorter", "S").ok()) return failed;
+  if (!cluster.call("S", "fill", {keys, kFillSeed}).ok()) return failed;
 
   const auto start = cluster.sim().now();
   const std::int64_t slice = keys / n_workers;
@@ -42,17 +60,20 @@ double runSort(int n_workers, std::int64_t keys, std::uint64_t seed,
   }
   cluster.run();
   for (auto& h : workers) {
-    if (!h->done || !h->result.ok()) return -1;
+    if (!h->done || !h->result.ok()) return failed;
   }
   for (std::int64_t width = slice; width < keys; width *= 2) {
     for (std::int64_t lo = 0; lo + width < keys; lo += 2 * width) {
       const std::int64_t hi = std::min(lo + 2 * width, keys);
-      if (!cluster.call("S", "merge", {lo, lo + width, hi}).ok()) return -1;
+      if (!cluster.call("S", "merge", {lo, lo + width, hi}).ok()) return failed;
     }
   }
   const double elapsed = bench::ms(cluster.sim().now() - start);
   if (emit_metrics_label != nullptr) bench::emitMetrics(emit_metrics_label, cluster.sim());
-  if (cluster.call("S", "is_sorted", {0, keys}).value() != obj::Value{true}) return -1;
+  if (cluster.call("S", "is_sorted", {0, keys}).value() != obj::Value{true}) return failed;
+  if (cluster.call("S", "checksum", {0, keys}).value() != obj::Value{expectedChecksum(keys)}) {
+    return makeError(Errc::internal, "checksum mismatch (keys lost)");
+  }
   return elapsed;
 }
 
@@ -61,12 +82,12 @@ void BM_DsmSort(benchmark::State& state) {
   const std::int64_t keys = state.range(1);
   int iter = 0;
   for (auto _ : state) {
-    const double ms = runSort(workers, keys, 42, iter++ == 0 ? "BM_DsmSort" : nullptr);
-    if (ms < 0) {
-      state.SkipWithError("sort failed");
+    const auto ms = runSort(workers, keys, 42, iter++ == 0 ? "BM_DsmSort" : nullptr);
+    if (!ms.ok()) {
+      state.SkipWithError(ms.error().message.c_str());
       return;
     }
-    bench::report(state, ms, 0);
+    bench::report(state, ms.value(), 0);
     state.counters["workers"] = workers;
     state.counters["keys"] = static_cast<double>(keys);
   }

@@ -50,8 +50,8 @@ Cluster::Machine Cluster::makeMachine(net::NodeId id, const std::string& name, b
 
 // Per-node gossip options: a deterministic phase offset (derived from the
 // node id) staggers the fleet's broadcast ticks on the shared medium.
-sched::Agent::Options Cluster::agentOptions(net::NodeId id) const {
-  sched::Agent::Options opts = config_.sched;
+sched::Options Cluster::agentOptions(net::NodeId id) const {
+  sched::Options opts = config_.sched;
   if (opts.gossip_phase == sim::kZero) {
     opts.gossip_phase = sim::usec(5000 + 500 * static_cast<std::int64_t>(id % 97));
   }
@@ -76,37 +76,15 @@ void Cluster::finishComputeRole(Machine& m) {
   m.runtime->onThreadCompleted([mon = m.sched->monitor()](sim::Duration latency) {
     mon->recordCompletion(latency);
   });
-  // The Migrator reaches into the runtime only through these closures
-  // (migrate/ sits below clouds/ in the layering).
-  obj::Runtime* rt = m.runtime.get();
-  migrate::Migrator::Hooks mh;
-  mh.begin_drain = [rt](const Sysname& o) { return rt->beginDrain(o); };
-  mh.end_drain = [rt](const Sysname& o) { rt->endDrain(o); };
-  mh.wait_quiesced = [rt](sim::Process& self, const Sysname& o, sim::Duration timeout) {
-    return rt->waitQuiesced(self, o, timeout);
-  };
-  mh.flush_deactivate = [rt](sim::Process& self, const Sysname& o) {
-    return rt->flushForMigration(self, o);
-  };
-  mh.pick_hot = [rt](std::uint64_t min_heat) { return rt->hottestObject(min_heat); };
-  mh.pick_spread = [this, rt, node = m.node.get()](std::uint64_t min_heat) {
-    return rt->spreadCandidate(min_heat, dataHomeOf(node->id()));
-  };
-  mh.homed_hot_count = [rt](std::uint64_t min_heat, net::NodeId home) {
-    return rt->homedHotCount(min_heat, home);
-  };
-  mh.forget_heat = [rt](const Sysname& header) { rt->forgetHeat(header); };
-  mh.data_home_of = [this](net::NodeId peer) { return dataHomeOf(peer); };
-  mh.committed = [this, rt](const Sysname& old_header, const Sysname& new_header) {
-    rt->forgetHeat(old_header);
-    // Keep the façade's locality hints pointing at the live incarnation.
-    for (auto& [name, sys] : created_objects_) {
-      if (sys == old_header) sys = new_header;
-    }
-  };
-  m.migrator = std::make_unique<migrate::Migrator>(*m.node, *m.dsm, &m.sched->table(),
-                                                   data_view_.front().node->id(),
-                                                   migrateOptions(m.node->id()), std::move(mh));
+  m.migrator = std::make_unique<migrate::Migrator>(
+      *m.node, *m.dsm, m.sched->table(), *m.runtime, migrateOptions(m.node->id()),
+      [this](net::NodeId peer) { return dataHomeOf(peer); },
+      [this](const Sysname& old_header, const Sysname& new_header) {
+        // Keep the façade's locality hints pointing at the live incarnation.
+        for (auto& [name, sys] : created_objects_) {
+          if (sys == old_header) sys = new_header;
+        }
+      });
 }
 
 // Per-node migration options: stagger daemon ticks like the gossip ticks,

@@ -51,7 +51,7 @@ struct ClusterConfig {
   // staleness windows. policy = PolicyKind::oracle restores the old
   // omniscient baseline. A zero gossip_phase gets a deterministic per-node
   // offset so the fleet's broadcasts do not collide on one tick.
-  sched::Agent::Options sched;
+  sched::Options sched;
   // Object migration (src/migrate): daemon watermarks and cadence. Disabled
   // by default; migrateObjectSync works regardless. A zero phase gets a
   // deterministic per-node offset, staggered against the gossip ticks.
@@ -217,7 +217,7 @@ class Cluster {
   void notifyClientCrash(net::NodeId client);
   void notifyServerCrash(net::NodeId server);
   std::vector<net::NodeId> resolveNames(const std::vector<std::string>& names) const;
-  sched::Agent::Options agentOptions(net::NodeId id) const;
+  sched::Options agentOptions(net::NodeId id) const;
   migrate::Migrator::Options migrateOptions(net::NodeId id) const;
   sched::Scheduler* chooserScheduler();
   int computeIndexOf(net::NodeId id) const;

@@ -142,8 +142,10 @@ Result<void> Runtime::destroyObject(sim::Process& self, const Sysname& object) {
     CLOUDS_TRY(deactivateObject(self, object, /*flush=*/false));
   } else {
     CLOUDS_TRY_ASSIGN(h, dsm_.resolvePage(self, {object, 0}, ra::Access::read));
-    CLOUDS_TRY_ASSIGN(d, ObjectDescriptor::decode(ByteSpan(h.data, ra::kPageSize)));
-    desc = d;
+    CLOUDS_TRY_ASSIGN(page, migrate::decodeHeaderPage(ByteSpan(h.data, ra::kPageSize)));
+    const auto* d = std::get_if<ObjectDescriptor>(&page);
+    if (d == nullptr) return makeError(Errc::bad_argument, "not an object header (bad magic)");
+    desc = *d;
   }
   // The shared code segment stays (other instances use it).
   CLOUDS_TRY(dsm_.destroySegment(self, desc.data_seg));
@@ -197,53 +199,49 @@ Result<void> Runtime::flushForMigration(sim::Process& self, const Sysname& objec
   return deactivateObject(self, object, /*flush=*/true);
 }
 
-std::optional<Sysname> Runtime::hottestObject(std::uint64_t min_heat) const {
-  std::optional<Sysname> best;
-  std::uint64_t best_heat = 0;
+template <typename Fn>
+void Runtime::forEachHot(std::uint64_t min_heat, std::optional<net::NodeId> home,
+                         Fn&& fn) const {
   for (const auto& [name, ao] : active_) {
     (void)ao;
     if (draining_.count(name) != 0) continue;
+    if (home.has_value() && ra::sysnameHome(name) != *home) continue;
     const auto it = heat_.find(name);
     const std::uint64_t h = it == heat_.end() ? 0 : it->second;
-    if (h < min_heat) continue;
+    if (h >= min_heat) fn(name, h);
+  }
+}
+
+std::optional<Sysname> Runtime::hottestObject(std::uint64_t min_heat) const {
+  std::optional<Sysname> best;
+  std::uint64_t best_heat = 0;
+  forEachHot(min_heat, std::nullopt, [&](const Sysname& name, std::uint64_t h) {
     if (!best.has_value() || h > best_heat) {  // strict >: lowest sysname wins ties
       best = name;
       best_heat = h;
     }
-  }
+  });
   return best;
 }
 
 std::size_t Runtime::homedHotCount(std::uint64_t min_heat, net::NodeId home) const {
-  if (home == net::kNoNode) return 0;
   std::size_t count = 0;
-  for (const auto& [name, ao] : active_) {
-    (void)ao;
-    if (draining_.count(name) != 0) continue;
-    if (ra::sysnameHome(name) != home) continue;
-    const auto it = heat_.find(name);
-    if (it != heat_.end() && it->second >= min_heat) ++count;
-  }
+  if (home == net::kNoNode) return count;
+  forEachHot(min_heat, home, [&](const Sysname&, std::uint64_t) { ++count; });
   return count;
 }
 
 std::optional<Sysname> Runtime::spreadCandidate(std::uint64_t min_heat,
                                                 net::NodeId home) const {
-  if (home == net::kNoNode) return std::nullopt;
   std::optional<Sysname> best;
   std::uint64_t best_heat = 0;
-  for (const auto& [name, ao] : active_) {
-    (void)ao;
-    if (draining_.count(name) != 0) continue;
-    if (ra::sysnameHome(name) != home) continue;
-    const auto it = heat_.find(name);
-    const std::uint64_t h = it == heat_.end() ? 0 : it->second;
-    if (h < min_heat) continue;
+  if (home == net::kNoNode) return best;
+  forEachHot(min_heat, home, [&](const Sysname& name, std::uint64_t h) {
     if (!best.has_value() || h < best_heat) {  // strict <: lowest sysname wins ties
       best = name;
       best_heat = h;
     }
-  }
+  });
   return best;
 }
 
@@ -259,18 +257,17 @@ Result<ActiveObject*> Runtime::activate(sim::Process& self, const Sysname& objec
   Sysname cur = object;
   for (int hop = 0; hop <= migrate::kMaxForwardHops; ++hop) {
     CLOUDS_TRY_ASSIGN(h, dsm_.resolvePage(self, {cur, 0}, ra::Access::read));
-    const ByteSpan image(h.data, ra::kPageSize);
-    if (migrate::isForwardPage(image)) {
-      CLOUDS_TRY_ASSIGN(rec, migrate::ForwardRecord::decode(image));
+    CLOUDS_TRY_ASSIGN(page, migrate::decodeHeaderPage(ByteSpan(h.data, ra::kPageSize)));
+    if (const auto* rec = std::get_if<migrate::ForwardRecord>(&page)) {
       node_.simulation().trace(node_.name(), "objmgr",
                                "chasing migrated object " + cur.toString() + " -> " +
-                                   rec.new_header.toString());
-      cur = rec.new_header;
+                                   rec->new_header.toString());
+      cur = rec->new_header;
       auto hit = active_.find(cur);
       if (hit != active_.end()) return &hit->second;
       continue;
     }
-    CLOUDS_TRY_ASSIGN(desc, ObjectDescriptor::decode(image));
+    const ObjectDescriptor& desc = std::get<ObjectDescriptor>(page);
     node_.cpu().compute(self, node_.cost().object_activation);
 
     ActiveObject ao;
@@ -296,11 +293,11 @@ Result<Sysname> Runtime::chaseForward(sim::Process& self, const Sysname& object)
   // a transient error would discard a live object's volatile heap.)
   dsm_.dropSegment(object);
   CLOUDS_TRY_ASSIGN(h, dsm_.resolvePage(self, {object, 0}, ra::Access::read));
-  const ByteSpan image(h.data, ra::kPageSize);
-  if (!migrate::isForwardPage(image)) {
+  CLOUDS_TRY_ASSIGN(page, migrate::decodeHeaderPage(ByteSpan(h.data, ra::kPageSize)));
+  const auto* rec = std::get_if<migrate::ForwardRecord>(&page);
+  if (rec == nullptr) {
     return makeError(Errc::not_found, "no forward stub behind " + object.toString());
   }
-  CLOUDS_TRY_ASSIGN(rec, migrate::ForwardRecord::decode(image));
   auto it = active_.find(object);
   if (it != active_.end() && it->second.executing_threads == 0) {
     // Stale activation of the pre-migration incarnation; its segments are
@@ -310,8 +307,8 @@ Result<Sysname> Runtime::chaseForward(sim::Process& self, const Sysname& object)
   heat_.erase(object);
   node_.simulation().trace(node_.name(), "objmgr",
                            "chasing migrated object " + object.toString() + " -> " +
-                               rec.new_header.toString());
-  return rec.new_header;
+                               rec->new_header.toString());
+  return rec->new_header;
 }
 
 // ---------------------------------------------------------------- invoke
@@ -581,26 +578,47 @@ void Runtime::reapThread(CloudsThread& t) {
   std::erase_if(threads_, [&](const auto& p) { return p.get() == &t; });
 }
 
-std::shared_ptr<Runtime::ThreadHandle> Runtime::startThread(const Sysname& object,
-                                                            const std::string& entry,
-                                                            ValueList args,
-                                                            net::NodeId workstation,
-                                                            sysobj::WindowId window) {
+template <typename Call>
+std::shared_ptr<Runtime::ThreadHandle> Runtime::startThreadWith(Call call,
+                                                                net::NodeId workstation,
+                                                                sysobj::WindowId window) {
   auto handle = std::make_shared<ThreadHandle>();
   const std::uint64_t id = (static_cast<std::uint64_t>(node_.id()) << 40) | next_thread_++;
   handle->thread_id = id;
   const sim::TimePoint started = node_.simulation().now();
   node_.spawnIsiBa("thread" + std::to_string(id & 0xffffff),
-                   [this, handle, id, workstation, window, object, entry, started,
-                    args = std::move(args)](sim::Process& self) {
+                   [this, handle, id, workstation, window, started,
+                    call = std::move(call)](sim::Process& self) {
                      CloudsThread& t = adoptThread(id, workstation, window, self);
-                     handle->result = invoke(t, object, entry, args);
+                     handle->result = call(t);
                      handle->done = true;
                      handle->completed_at = node_.simulation().now();
                      if (thread_completed_) thread_completed_(handle->completed_at - started);
                      reapThread(t);
                    });
   return handle;
+}
+
+std::shared_ptr<Runtime::ThreadHandle> Runtime::startThread(const Sysname& object,
+                                                            const std::string& entry,
+                                                            ValueList args,
+                                                            net::NodeId workstation,
+                                                            sysobj::WindowId window) {
+  return startThreadWith(
+      [this, object, entry, args = std::move(args)](CloudsThread& t) {
+        return invoke(t, object, entry, args);
+      },
+      workstation, window);
+}
+
+std::shared_ptr<Runtime::ThreadHandle> Runtime::startThreadByName(
+    const std::string& object_name, const std::string& entry, ValueList args,
+    net::NodeId workstation, sysobj::WindowId window) {
+  return startThreadWith(
+      [this, object_name, entry, args = std::move(args)](CloudsThread& t) {
+        return invokeByName(t, object_name, entry, args);
+      },
+      workstation, window);
 }
 
 void Runtime::spawnThread(const std::string& name, std::function<void(CloudsThread&)> body,
@@ -612,26 +630,6 @@ void Runtime::spawnThread(const std::string& name, std::function<void(CloudsThre
     body(t);
     reapThread(t);
   });
-}
-
-std::shared_ptr<Runtime::ThreadHandle> Runtime::startThreadByName(
-    const std::string& object_name, const std::string& entry, ValueList args,
-    net::NodeId workstation, sysobj::WindowId window) {
-  auto handle = std::make_shared<ThreadHandle>();
-  const std::uint64_t id = (static_cast<std::uint64_t>(node_.id()) << 40) | next_thread_++;
-  handle->thread_id = id;
-  const sim::TimePoint started = node_.simulation().now();
-  node_.spawnIsiBa("thread" + std::to_string(id & 0xffffff),
-                   [this, handle, id, workstation, window, object_name, entry, started,
-                    args = std::move(args)](sim::Process& self) {
-                     CloudsThread& t = adoptThread(id, workstation, window, self);
-                     handle->result = invokeByName(t, object_name, entry, args);
-                     handle->done = true;
-                     handle->completed_at = node_.simulation().now();
-                     if (thread_completed_) thread_completed_(handle->completed_at - started);
-                     reapThread(t);
-                   });
-  return handle;
 }
 
 // ================================================================ context

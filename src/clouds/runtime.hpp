@@ -53,7 +53,7 @@ class Runtime {
   Result<void> deactivateObject(sim::Process& self, const Sysname& object, bool flush = true);
   bool isActive(const Sysname& object) const { return active_.count(object) != 0; }
 
-  // ---- Migration support (the Migrator's drain / quiesce / pick hooks) ----
+  // ---- Migration support (called by migrate::Migrator) ----
   // Gate new local invocations of the object; in-flight ones (and re-entrant
   // self-calls of a gated thread) run to completion. False if already gated.
   bool beginDrain(const Sysname& object) { return draining_.insert(object).second; }
@@ -129,6 +129,10 @@ class Runtime {
  private:
   friend class ObjectContext;
 
+  // Calls fn(name, heat) for each non-draining active object with at least
+  // min_heat invocations (homed on `home`, if given), in sysname order.
+  template <typename Fn>
+  void forEachHot(std::uint64_t min_heat, std::optional<net::NodeId> home, Fn&& fn) const;
   Result<ActiveObject*> activate(sim::Process& self, const Sysname& object);
   Result<Value> invokeOnce(CloudsThread& t, const Sysname& object, const std::string& entry,
                            const ValueList& args);
@@ -142,6 +146,11 @@ class Runtime {
   CloudsThread& adoptThread(std::uint64_t id, net::NodeId workstation, sysobj::WindowId window,
                             sim::Process& proc);
   void reapThread(CloudsThread& t);
+  // Spawn a Clouds thread whose body is call(thread); the shared tail of
+  // startThread and startThreadByName.
+  template <typename Call>
+  std::shared_ptr<ThreadHandle> startThreadWith(Call call, net::NodeId workstation,
+                                                sysobj::WindowId window);
 
   ra::Node& node_;
   dsm::DsmClientPartition& dsm_;

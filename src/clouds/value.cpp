@@ -102,28 +102,37 @@ void Value::encode(Encoder& e) const {
 
 Result<Value> Value::decode(Decoder& d) {
   CLOUDS_TRY_ASSIGN(tag, d.u8());
+  // Filled in place and returned by one move: returning a fresh scalar
+  // Value{...} per case makes GCC 12 (sanitized build) warn
+  // -Wmaybe-uninitialized about the variant's other alternatives.
+  Value out;
   switch (static_cast<Tag>(tag)) {
     case Tag::null:
-      return Value{};
+      return out;
     case Tag::integer: {
       CLOUDS_TRY_ASSIGN(v, d.i64());
-      return Value{v};
+      out.v_ = v;
+      return out;
     }
     case Tag::real: {
       CLOUDS_TRY_ASSIGN(v, d.f64());
-      return Value{v};
+      out.v_ = v;
+      return out;
     }
     case Tag::boolean: {
       CLOUDS_TRY_ASSIGN(v, d.boolean());
-      return Value{v};
+      out.v_ = v;
+      return out;
     }
     case Tag::text: {
       CLOUDS_TRY_ASSIGN(v, d.str());
-      return Value{std::move(v)};
+      out.v_ = std::move(v);
+      return out;
     }
     case Tag::blob: {
       CLOUDS_TRY_ASSIGN(v, d.bytes());
-      return Value{std::move(v)};
+      out.v_ = std::move(v);
+      return out;
     }
     case Tag::list: {
       CLOUDS_TRY_ASSIGN(n, d.u32());
@@ -133,7 +142,8 @@ Result<Value> Value::decode(Decoder& d) {
         CLOUDS_TRY_ASSIGN(item, Value::decode(d));
         items.push_back(std::move(item));
       }
-      return Value{std::move(items)};
+      out.v_ = std::move(items);
+      return out;
     }
   }
   return makeError(Errc::bad_argument, "unknown value tag " + std::to_string(tag));

@@ -48,6 +48,10 @@ class DsmClientPartition : public ra::Partition {
   Result<void> adoptSegment(sim::Process& self, const Sysname& name, std::uint64_t length,
                             bool zero_fill = true);
   Result<void> destroySegment(sim::Process& self, const Sysname& name);
+  // Copy the first `length` bytes (whole pages) of `from` into `to` through
+  // ordinary page faults; the caller flushes `to` when it needs it durable.
+  Result<void> copySegment(sim::Process& self, const Sysname& from, const Sysname& to,
+                           std::uint64_t length);
 
   // ---- Hooks for the consistency layer ----
   // Dirty exclusive frames of the segment, as page updates (for 2PC).

@@ -2,18 +2,20 @@
 
 #include <algorithm>
 #include <cstring>
+#include <variant>
 
 namespace clouds::migrate {
 
-Migrator::Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTable* table,
-                   net::NodeId name_server, Options options, Hooks hooks)
+Migrator::Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTable& table,
+                   obj::Runtime& rt, Options options, DataHomeOf data_home_of,
+                   Committed committed)
     : node_(node),
       dsm_(dsm),
       table_(table),
-      sync_(node),
-      names_(node, name_server),
+      rt_(rt),
       options_(options),
-      hooks_(std::move(hooks)) {
+      data_home_of_(std::move(data_home_of)),
+      committed_(std::move(committed)) {
   sim::MetricsRegistry& metrics = node_.simulation().metrics();
   m_started_ = &metrics.counter(node_.name() + "/migrate/started");
   m_committed_ = &metrics.counter(node_.name() + "/migrate/committed");
@@ -39,7 +41,7 @@ Migrator::Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTabl
 }
 
 void Migrator::start() {
-  if (!options_.enabled || table_ == nullptr) return;
+  if (!options_.enabled) return;
   loop_ = &node_.spawnIsiBa("migrate.daemon", [this](sim::Process& self) { loop(self); });
 }
 
@@ -64,7 +66,7 @@ void Migrator::armTick(sim::Duration delay) {
 bool Migrator::tick(sim::Process& self) {
   if (fsm_.state() != State::idle) return false;
   const sim::TimePoint now = node_.simulation().now();
-  const sched::LoadTable::Entry* me = table_->find(node_.id());
+  const sched::LoadTable::Entry* me = table_.find(node_.id());
   if (me == nullptr) return false;
   if (me->effectiveLoad() < options_.high_watermark) return rebalanceTick(self, *me, now);
   // Pressure is relative: only the hottest node in view sheds (ties break
@@ -72,24 +74,23 @@ bool Migrator::tick(sim::Process& self) {
   // backlog merely trails a hotter peer would otherwise race it for the
   // same objects — two daemons deadlocking on the same segment locks — or
   // churn an object between peers while the real hotspot stays saturated.
-  for (const auto& [peer, e] : table_->entries()) {
-    if (e.self || table_->stale(e, now)) continue;
+  for (const auto& [peer, e] : table_.entries()) {
+    if (e.self || table_.stale(e, now)) continue;
     const std::uint64_t peer_load = e.effectiveLoad();
     if (peer_load > me->effectiveLoad() ||
         (peer_load == me->effectiveLoad() && peer > node_.id())) {
       return false;
     }
   }
-  const auto cold = table_->coldestPeerBelow(
+  const auto cold = table_.coldestPeerBelow(
       options_.low_watermark, now, [this, now](net::NodeId peer) {
         const auto it = last_shipped_.find(peer);
         return it == last_shipped_.end() || now - it->second >= options_.target_backoff;
       });
   if (!cold.has_value()) return false;
-  const net::NodeId target = hooks_.data_home_of ? hooks_.data_home_of(*cold) : net::kNoNode;
+  const net::NodeId target = data_home_of_(*cold);
   if (target == net::kNoNode) return false;  // diskless peer cannot adopt segments
-  if (!hooks_.pick_hot) return false;
-  const auto hot = hooks_.pick_hot(options_.min_heat);
+  const auto hot = rt_.hottestObject(options_.min_heat);
   if (!hot.has_value()) return false;
   if (ra::sysnameHome(*hot) == target) return false;  // already lives there
   if (migrateObject(self, *hot, target).ok()) {
@@ -109,21 +110,21 @@ bool Migrator::rebalanceTick(sim::Process& self, const sched::LoadTable::Entry& 
                              sim::TimePoint now) {
   if (!options_.rebalance) return false;
   if (me.effectiveLoad() > options_.low_watermark) return false;  // not quiet yet
-  if (!hooks_.pick_spread || !hooks_.homed_hot_count || !hooks_.data_home_of) return false;
-  const net::NodeId my_home = hooks_.data_home_of(node_.id());
+  const net::NodeId my_home = data_home_of_(node_.id());
   if (my_home == net::kNoNode) return false;
-  const auto pile =
-      static_cast<std::uint32_t>(hooks_.homed_hot_count(options_.min_heat, my_home));
+  // Our own pile is counted live: the gossiped self-report lags by a gossip
+  // interval, and shipping on a stale pile would overshoot the spread.
+  const auto pile = static_cast<std::uint32_t>(rt_.homedHotCount(options_.min_heat, my_home));
   if (pile < 2) return false;
-  const auto cold = table_->coldestPeerBelow(
+  const auto cold = table_.coldestPeerBelow(
       options_.low_watermark, now, [this, now, pile](net::NodeId peer) {
         const auto it = last_shipped_.find(peer);
         if (it != last_shipped_.end() && now - it->second < options_.target_backoff) {
           return false;
         }
-        const net::NodeId peer_home = hooks_.data_home_of(peer);
+        const net::NodeId peer_home = data_home_of_(peer);
         if (peer_home == net::kNoNode) return false;
-        const sched::LoadTable::Entry* e = table_->find(peer);
+        const sched::LoadTable::Entry* e = table_.find(peer);
         if (e == nullptr) return false;
         // The peer's gossiped homed_hot misses objects it stores but never
         // executes: an adopted object keeps being invoked from HERE, so its
@@ -132,13 +133,14 @@ bool Migrator::rebalanceTick(sim::Process& self, const sched::LoadTable::Entry& 
         // not sum, since an object invoked from both sides would otherwise
         // be double-counted. Without this, one cold peer swallows the whole
         // pile one backoff period at a time (1-3-0 instead of 2-1-1).
-        const std::size_t local = hooks_.homed_hot_count(options_.min_heat, peer_home);
+        const std::size_t local = rt_.homedHotCount(options_.min_heat, peer_home);
         const std::size_t known = std::max<std::size_t>(e->report.homed_hot, local);
         return known + 1 < pile;
       });
   if (!cold.has_value()) return false;
-  const net::NodeId target = hooks_.data_home_of(*cold);
-  const auto candidate = hooks_.pick_spread(options_.min_heat);
+  const net::NodeId target = data_home_of_(*cold);
+  // The coldest of our pile: keep the hottest object's cache locality.
+  const auto candidate = rt_.spreadCandidate(options_.min_heat, my_home);
   if (!candidate.has_value()) return false;
   if (ra::sysnameHome(*candidate) == target) return false;
   event("rebalance pile " + std::to_string(pile) + " -> node " + std::to_string(target));
@@ -172,18 +174,36 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
   // local ownership. Safe at any point before the commit decision: the
   // source header page is only replaced by a committed 2PC flip.
   auto fail = [&](Error err) -> Result<Sysname> {
-    if (prepared) (void)sync_.decide(self, source, tx, /*commit=*/false);
+    if (prepared) (void)rt_.sync().decide(self, source, tx, /*commit=*/false);
     for (const Sysname& s : created) {
       dsm_.dropSegment(s);
       (void)dsm_.destroySegment(self, s);
     }
-    if (locked) (void)sync_.unlockAll(self, source, tx);
-    if (draining) hooks_.end_drain(header);
+    if (locked) (void)rt_.sync().unlockAll(self, source, tx);
+    if (draining) rt_.endDrain(header);
     ++*m_aborted_;
     event("abort: " + err.toString());
     fsm_.abort();
     fsm_.reset();
     return err;
+  };
+
+  // Fresh read of the authoritative header page (drop any cached frame
+  // first; it may predate a concurrent migration). A tombstone or vanished
+  // header means the candidate already migrated away; its heat was earned
+  // under a dead name. Forget it so the next tick picks a live object
+  // instead of re-probing this one forever.
+  auto probe = [&](const char* migrated_away) -> Result<obj::ObjectDescriptor> {
+    dsm_.dropSegment(header);
+    auto page = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
+    if (!page.ok()) {
+      if (page.error().code == Errc::not_found) rt_.forgetHeat(header);
+      return page.error();
+    }
+    CLOUDS_TRY_ASSIGN(decoded, decodeHeaderPage(ByteSpan(page.value().data, ra::kPageSize)));
+    if (auto* desc = std::get_if<obj::ObjectDescriptor>(&decoded)) return std::move(*desc);
+    rt_.forgetHeat(header);
+    return makeError(Errc::already_exists, migrated_away);
   };
 
   // ---- pre-flight: is the candidate still ours? A peer that served this
@@ -192,58 +212,27 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
   // Draining first instead would block real invocations (still entering
   // through the forwarding chain) for the whole drain_timeout.
   {
-    dsm_.dropSegment(header);
-    auto page_r = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
-    if (!page_r.ok()) {
-      if (page_r.error().code == Errc::not_found && hooks_.forget_heat) {
-        hooks_.forget_heat(header);
-      }
-      return fail(page_r.error());
-    }
-    if (isForwardPage(ByteSpan(page_r.value().data, ra::kPageSize))) {
-      if (hooks_.forget_heat) hooks_.forget_heat(header);
-      return fail(makeError(Errc::already_exists, "object was already migrated away"));
-    }
+    auto r = probe("object was already migrated away");
+    if (!r.ok()) return fail(r.error());
   }
 
   // ---- draining: stop new local invocations, wait out in-flight ones ----
-  if (!hooks_.begin_drain || !hooks_.begin_drain(header)) {
-    return fail(makeError(Errc::busy, "object is already draining"));
-  }
+  if (!rt_.beginDrain(header)) return fail(makeError(Errc::busy, "object is already draining"));
   draining = true;
   {
-    auto r = hooks_.wait_quiesced(self, header, options_.drain_timeout);
+    auto r = rt_.waitQuiesced(self, header, options_.drain_timeout);
     if (!r.ok()) return fail(r.error());
   }
   // Exclusive locks keep remote transactional writers out of the payload
   // segments for the whole transfer window (lease expiry reclaims them if
   // this node dies mid-flight).
   {
-    auto desc_r = [&]() -> Result<obj::ObjectDescriptor> {
-      // Fresh read of the authoritative header page (drop any cached frame
-      // first; it may predate a concurrent migration).
-      dsm_.dropSegment(header);
-      CLOUDS_TRY_ASSIGN(page, dsm_.resolvePage(self, {header, 0}, ra::Access::read));
-      ByteSpan image(page.data, ra::kPageSize);
-      if (isForwardPage(image)) {
-        return makeError(Errc::already_exists, "object was already migrated away");
-      }
-      return obj::ObjectDescriptor::decode(image);
-    }();
-    if (!desc_r.ok()) {
-      // A tombstone or vanished header means the candidate already migrated
-      // away; its heat was earned under a dead name. Forget it so the next
-      // tick picks a live object instead of re-probing this one forever.
-      const Errc code = desc_r.error().code;
-      if ((code == Errc::already_exists || code == Errc::not_found) && hooks_.forget_heat) {
-        hooks_.forget_heat(header);
-      }
-      return fail(desc_r.error());
-    }
+    auto desc_r = probe("object was already migrated away");
+    if (!desc_r.ok()) return fail(desc_r.error());
     const obj::ObjectDescriptor desc = std::move(desc_r).value();
 
     for (const Sysname& seg : {desc.data_seg, desc.pheap_seg}) {
-      auto r = sync_.lock(self, seg, dsm::LockMode::exclusive, tx);
+      auto r = rt_.sync().lock(self, seg, dsm::LockMode::exclusive, tx);
       if (!r.ok()) return fail(r.error());
       locked = true;
     }
@@ -255,21 +244,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     // splitting ownership. Re-probe the header under the locks and abort
     // unless it still shows the exact pre-flip descriptor we locked.
     {
-      dsm_.dropSegment(header);
-      auto page = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
-      if (!page.ok()) {
-        if (page.error().code == Errc::not_found && hooks_.forget_heat) {
-          hooks_.forget_heat(header);
-        }
-        return fail(page.error());
-      }
-      ByteSpan image(page.value().data, ra::kPageSize);
-      if (isForwardPage(image)) {
-        if (hooks_.forget_heat) hooks_.forget_heat(header);
-        return fail(makeError(Errc::already_exists,
-                              "object migrated away while awaiting segment locks"));
-      }
-      auto relook = obj::ObjectDescriptor::decode(image);
+      auto relook = probe("object migrated away while awaiting segment locks");
       if (!relook.ok()) return fail(relook.error());
       if (relook.value().data_seg != desc.data_seg ||
           relook.value().pheap_seg != desc.pheap_seg) {
@@ -280,7 +255,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     // Flush + tear down the local activation so the source store holds the
     // object's authoritative bytes.
     {
-      auto r = hooks_.flush_deactivate(self, header);
+      auto r = rt_.flushForMigration(self, header);
       if (!r.ok()) return fail(r.error());
     }
     if (!fsm_.drained()) return fail(makeError(Errc::internal, "fsm refused drained()"));
@@ -302,8 +277,8 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     const Sysname nh = nh_r.value();
 
     {
-      auto r = copySegment(self, desc.data_seg, nd, desc.data_size);
-      if (r.ok()) r = copySegment(self, desc.pheap_seg, np, desc.pheap_size);
+      auto r = dsm_.copySegment(self, desc.data_seg, nd, desc.data_size);
+      if (r.ok()) r = dsm_.copySegment(self, desc.pheap_seg, np, desc.pheap_size);
       if (!r.ok()) return fail(r.error());
     }
     // New header: the old descriptor re-pointed at the adopted segments
@@ -334,7 +309,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     auto page_image = rec.encodePage();
     if (!page_image.ok()) return fail(page_image.error());
     {
-      auto r = sync_.prepare(self, source, tx,
+      auto r = rt_.sync().prepare(self, source, tx,
                              {store::PageUpdate{{header, 0}, std::move(page_image).value()}});
       if (!r.ok()) {
         // The source may have logged the prepare though its reply was lost;
@@ -345,24 +320,27 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
       prepared = true;
     }
     {
-      auto r = sync_.decide(self, source, tx, /*commit=*/true);
+      auto r = rt_.sync().decide(self, source, tx, /*commit=*/true);
       if (!r.ok()) {
         // Decision undeliverable. Probe the header page: the source either
         // committed (tombstone visible) or still holds the original.
         dsm_.dropSegment(header);
-        auto probe = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
-        if (probe.ok() && isForwardPage(ByteSpan(probe.value().data, ra::kPageSize))) {
-          // Fall through: the flip is durable, finish the handoff.
-        } else if (probe.ok()) {
-          return fail(makeError(Errc::aborted, "commit decision lost; source kept the object"));
+        auto page = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
+        if (page.ok()) {
+          auto decoded = decodeHeaderPage(ByteSpan(page.value().data, ra::kPageSize));
+          if (!decoded.ok() || !std::holds_alternative<ForwardRecord>(decoded.value())) {
+            return fail(
+                makeError(Errc::aborted, "commit decision lost; source kept the object"));
+          }
+          // Otherwise fall through: the flip is durable, finish the handoff.
         } else {
           // Source dark: genuinely in doubt. Keep the shipped segments (the
           // source's restart log scan will resolve the prepared flip); only
           // the durable header page decides who owns the object.
           ++*m_in_doubt_;
           event("in doubt: " + r.error().toString());
-          if (locked) (void)sync_.unlockAll(self, source, tx);
-          hooks_.end_drain(header);
+          if (locked) (void)rt_.sync().unlockAll(self, source, tx);
+          rt_.endDrain(header);
           fsm_.abort();
           fsm_.reset();
           return makeError(Errc::timeout,
@@ -377,14 +355,14 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     // gossip won't say so until its next report. Charge the handoff to our
     // local view (same inflight correction the placement chooser uses) so
     // the next tick doesn't dogpile every hot object onto one cold peer.
-    if (table_ != nullptr) table_->notePlacement(target);
+    table_.notePlacement(target);
 
     // ---- adopted: publish, GC, release ----
     // Our own cached header frame still holds the old descriptor (the
     // committing server excludes the committer from invalidation).
     dsm_.dropSegment(header);
     {
-      auto r = names_.forward(self, header, nh);
+      auto r = rt_.names().forward(self, header, nh);
       if (r.ok()) {
         ++*m_forwards_;
       } else {
@@ -402,27 +380,13 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     // source that kept them would keep advertising cache locality for an
     // object it just gave away — herding the scheduler right back here.
     for (const Sysname& s : {nd, np, nh}) dsm_.dropSegment(s);
-    (void)sync_.unlockAll(self, source, tx);
-    hooks_.end_drain(header);
-    if (hooks_.committed) hooks_.committed(header, nh);
+    (void)rt_.sync().unlockAll(self, source, tx);
+    rt_.endDrain(header);
+    rt_.forgetHeat(header);
+    committed_(header, nh);
     fsm_.finish();
     return nh;
   }
-}
-
-Result<void> Migrator::copySegment(sim::Process& self, const Sysname& from, const Sysname& to,
-                                   std::uint64_t length) {
-  const auto pages = static_cast<std::uint32_t>((length + ra::kPageSize - 1) / ra::kPageSize);
-  Bytes buf(ra::kPageSize);
-  for (std::uint32_t i = 0; i < pages; ++i) {
-    // A PageHandle dies at the next block, and resolving the destination
-    // page may block on its home server — stage through a local buffer.
-    CLOUDS_TRY_ASSIGN(src, dsm_.resolvePage(self, {from, i}, ra::Access::read));
-    std::memcpy(buf.data(), src.data, ra::kPageSize);
-    CLOUDS_TRY_ASSIGN(dst, dsm_.resolvePage(self, {to, i}, ra::Access::write));
-    std::memcpy(dst.data, buf.data(), ra::kPageSize);
-  }
-  return okResult();
 }
 
 void Migrator::event(std::string what) {

@@ -9,26 +9,24 @@
 // single 2PC-logged page write (see docs/MIGRATION.md for the full crash
 // matrix).
 //
-// Layering: migrate/ sits *below* clouds/ — everything it needs from the
-// object runtime (drain gate, quiesce wait, activation flush, hot-object
-// pick) is injected as Hooks closures, mirroring sched::LoadMonitor's
-// Providers. The cluster façade wires them up.
+// Layering: the Migrator is a client of the object runtime (obj::Runtime)
+// and calls its drain gate, quiesce wait, activation flush and hot-object
+// picks directly; both compile into clouds_core. Only the cluster topology
+// (which data server sits beside a compute peer) and the façade's locality
+// hints come in as two callbacks.
 #pragma once
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "clouds/object.hpp"
+#include "clouds/runtime.hpp"
 #include "dsm/client.hpp"
-#include "dsm/sync_client.hpp"
 #include "migrate/protocol.hpp"
 #include "migrate/state.hpp"
 #include "ra/node.hpp"
 #include "sched/load_table.hpp"
-#include "sysobj/name_server.hpp"
 
 namespace clouds::migrate {
 
@@ -62,44 +60,14 @@ class Migrator {
     bool rebalance = false;
   };
 
-  // Closures into the clouds/ object runtime and cluster topology.
-  struct Hooks {
-    // Drain gate: returns false if the object is already draining.
-    std::function<bool(const Sysname&)> begin_drain;
-    std::function<void(const Sysname&)> end_drain;
-    // Wait until no local thread executes inside the draining object.
-    std::function<Result<void>(sim::Process&, const Sysname&, sim::Duration)> wait_quiesced;
-    // Flush the activation's dirty pages and tear it down, making the home
-    // store authoritative (ok when the object is not active).
-    std::function<Result<void>(sim::Process&, const Sysname&)> flush_deactivate;
-    // Hottest local candidate (header sysname) with at least min_heat
-    // invocations; nullopt when nothing qualifies.
-    std::function<std::optional<Sysname>(std::uint64_t)> pick_hot;
-    // Coldest member of the pile homed on this node's own data server (the
-    // rebalance nudge ships the cheapest-to-lose object and keeps the
-    // hottest one's cache locality); nullopt when nothing qualifies.
-    std::function<std::optional<Sysname>(std::uint64_t)> pick_spread;
-    // Live count of active objects with >= min_heat invocations homed on
-    // the given data server. For our own home this must be exact (the
-    // gossiped self-report lags by a gossip interval, and shipping on a
-    // stale pile would overshoot the spread). For a peer's home it is the
-    // local view: adopted incarnations we keep invoking stay in OUR
-    // activation table with their new home, which is exactly what the
-    // peer's own report can never show (heat is invocation-local, so a
-    // node that stores a pile nobody invokes through it reports zero).
-    std::function<std::size_t(std::uint64_t, net::NodeId)> homed_hot_count;
-    // Data server co-located with a compute peer (kNoNode: peer is diskless
-    // and cannot adopt segments).
-    std::function<net::NodeId(net::NodeId)> data_home_of;
-    // Ownership handed off durably: old header -> new header.
-    std::function<void(const Sysname&, const Sysname&)> committed;
-    // Drop a heat entry whose sysname turned out to be a tombstone (the
-    // object migrated away and the stale name must stop winning pick_hot).
-    std::function<void(const Sysname&)> forget_heat;
-  };
+  // Data server co-located with a compute peer (kNoNode: the peer is
+  // diskless and cannot adopt segments).
+  using DataHomeOf = std::function<net::NodeId(net::NodeId)>;
+  // Ownership handed off durably: old header -> new header.
+  using Committed = std::function<void(const Sysname&, const Sysname&)>;
 
-  Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTable* table,
-           net::NodeId name_server, Options options, Hooks hooks);
+  Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTable& table,
+           obj::Runtime& rt, Options options, DataHomeOf data_home_of, Committed committed);
 
   // The synchronous protocol: drain -> lock -> ship -> 2PC flip -> forward
   // -> GC. Returns the new header sysname (homed on `target`). On any
@@ -126,16 +94,14 @@ class Migrator {
   bool rebalanceTick(sim::Process& self, const sched::LoadTable::Entry& me,
                      sim::TimePoint now);
   void event(std::string what);
-  Result<void> copySegment(sim::Process& self, const Sysname& from, const Sysname& to,
-                           std::uint64_t length);
 
   ra::Node& node_;
   dsm::DsmClientPartition& dsm_;
-  sched::LoadTable* table_;  // null: no gossip view, daemon never triggers
-  dsm::SyncClient sync_;
-  sysobj::NameClient names_;
+  sched::LoadTable& table_;
+  obj::Runtime& rt_;
   Options options_;
-  Hooks hooks_;
+  DataHomeOf data_home_of_;
+  Committed committed_;
   MigrationFsm fsm_;
   std::vector<std::string> events_;
   std::function<void(State)> state_hook_;

@@ -84,10 +84,14 @@ Result<ForwardRecord> ForwardRecord::decode(ByteSpan bytes) {
   return rec;
 }
 
-bool isForwardPage(ByteSpan page) {
-  Decoder d(page);
-  auto magic = d.u32();
-  return magic.ok() && magic.value() == kForwardMagic;
+Result<HeaderPage> decodeHeaderPage(ByteSpan page) {
+  auto magic = Decoder(page).u32();
+  if (magic.ok() && magic.value() == kForwardMagic) {
+    CLOUDS_TRY_ASSIGN(rec, ForwardRecord::decode(page));
+    return HeaderPage(std::move(rec));
+  }
+  CLOUDS_TRY_ASSIGN(desc, obj::ObjectDescriptor::decode(page));
+  return HeaderPage(std::move(desc));
 }
 
 }  // namespace clouds::migrate

@@ -10,8 +10,10 @@
 #pragma once
 
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "clouds/object.hpp"
 #include "common/codec.hpp"
 #include "ra/types.hpp"
 
@@ -55,7 +57,10 @@ struct ForwardRecord {
   static Result<ForwardRecord> decode(ByteSpan bytes);
 };
 
-// Cheap discriminator: does this header page hold a forward record?
-bool isForwardPage(ByteSpan page);
+// What an object's header page holds: the live descriptor, or the tombstone
+// a migration left behind. The magic picks the codec; decode errors are the
+// chosen codec's own.
+using HeaderPage = std::variant<obj::ObjectDescriptor, ForwardRecord>;
+Result<HeaderPage> decodeHeaderPage(ByteSpan page);
 
 }  // namespace clouds::migrate

@@ -1,6 +1,9 @@
 #include "pet/pet.hpp"
 
 #include <algorithm>
+#include <variant>
+
+#include "migrate/protocol.hpp"
 
 namespace clouds::pet {
 
@@ -98,7 +101,10 @@ int PetManager::propagate(sim::Process& self, obj::Runtime&, const ReplicatedObj
   dsm::DsmClientPartition& dsmp = cluster_.dsmClient(0);
   auto readDesc = [&](const Sysname& obj_name) -> Result<obj::ObjectDescriptor> {
     CLOUDS_TRY_ASSIGN(h, dsmp.resolvePage(self, {obj_name, 0}, ra::Access::read));
-    return obj::ObjectDescriptor::decode(ByteSpan(h.data, ra::kPageSize));
+    CLOUDS_TRY_ASSIGN(page, migrate::decodeHeaderPage(ByteSpan(h.data, ra::kPageSize)));
+    const auto* desc = std::get_if<obj::ObjectDescriptor>(&page);
+    if (desc == nullptr) return makeError(Errc::bad_argument, "not an object header (bad magic)");
+    return *desc;
   };
   auto winner_desc = readDesc(object.replicas[static_cast<std::size_t>(winner_idx)]);
   if (!winner_desc.ok()) return 0;
@@ -112,30 +118,15 @@ int PetManager::propagate(sim::Process& self, obj::Runtime&, const ReplicatedObj
     if (static_cast<int>(r) == winner_idx) continue;
     auto target_desc = readDesc(object.replicas[r]);
     if (!target_desc.ok()) continue;  // replica's data server is down
-    bool copied = true;
-    auto copySegment = [&](const Sysname& from, const Sysname& to, std::uint64_t bytes) {
-      const auto pages = static_cast<std::uint32_t>((bytes + ra::kPageSize - 1) / ra::kPageSize);
-      for (std::uint32_t p = 0; p < pages && copied; ++p) {
-        auto src = dsmp.resolvePage(self, {from, p}, ra::Access::read);
-        if (!src.ok()) {
-          copied = false;
-          break;
-        }
-        Bytes page(src.value().data, src.value().data + ra::kPageSize);
-        auto dst = dsmp.resolvePage(self, {to, p}, ra::Access::write);
-        if (!dst.ok()) {
-          copied = false;
-          break;
-        }
-        std::copy(page.begin(), page.end(), dst.value().data);
-      }
-      if (copied && !dsmp.flushSegment(self, to).ok()) copied = false;
+    auto copy = [&](const Sysname& from, const Sysname& to, std::uint64_t bytes) -> Result<void> {
+      CLOUDS_TRY(dsmp.copySegment(self, from, to, bytes));
+      return dsmp.flushSegment(self, to);
     };
-    copySegment(winner_desc.value().data_seg, target_desc.value().data_seg,
-                winner_desc.value().data_size);
-    copySegment(winner_desc.value().pheap_seg, target_desc.value().pheap_seg,
-                winner_desc.value().pheap_size);
-    if (copied) {
+    const obj::ObjectDescriptor& winner = winner_desc.value();
+    const obj::ObjectDescriptor& target = target_desc.value();
+    auto copied = copy(winner.data_seg, target.data_seg, winner.data_size);
+    if (copied.ok()) copied = copy(winner.pheap_seg, target.pheap_seg, winner.pheap_size);
+    if (copied.ok()) {
       ++written;
       vv.versions[r] = new_version;
     }

@@ -3,7 +3,7 @@
 namespace clouds::sched {
 
 GossipAgent::GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor,
-                         Options options)
+                         const Options& options)
     : node_(node), table_(table), monitor_(monitor), options_(options) {
   sim::MetricsRegistry& metrics = node_.simulation().metrics();
   m_sent_ = &metrics.counter(node_.name() + "/sched/reports_sent");
@@ -23,17 +23,18 @@ GossipAgent::GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor,
 }
 
 void GossipAgent::start() {
-  if (!options_.enabled || monitor_ == nullptr) return;  // listeners never tick
+  if (!options_.gossip || monitor_ == nullptr) return;  // listeners never tick
   loop_ = &node_.spawnIsiBa("sched.gossip", [this](sim::Process& self) { loop(self); });
 }
 
 void GossipAgent::loop(sim::Process& self) {
-  armTick(options_.phase > sim::kZero ? options_.phase : options_.interval);
+  armTick(options_.gossip_phase > sim::kZero ? options_.gossip_phase
+                                              : options_.gossip_interval);
   for (;;) {
     self.block();  // woken by the daemon tick
     broadcast(self);
     table_.evictSilent(node_.simulation().now());
-    armTick(options_.interval);
+    armTick(options_.gossip_interval);
   }
 }
 

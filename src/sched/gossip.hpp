@@ -24,16 +24,10 @@ namespace clouds::sched {
 
 class GossipAgent {
  public:
-  struct Options {
-    bool enabled = true;
-    sim::Duration interval = sim::msec(50);
-    sim::Duration phase = sim::kZero;  // first-tick offset (de-synchronizes senders)
-  };
-
   // `monitor` == nullptr makes this a pure listener (receives reports but
   // never broadcasts): workstations and data servers observe, compute
   // servers participate.
-  GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor, Options options);
+  GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor, const Options& options);
 
  private:
   void start();

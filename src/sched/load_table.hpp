@@ -19,18 +19,26 @@
 #include <map>
 #include <optional>
 
+#include "sched/policy.hpp"
 #include "sched/report.hpp"
 #include "sim/time.hpp"
 
 namespace clouds::sched {
 
+// One node's scheduling settings, shared by its LoadTable (aging), its
+// GossipAgent (cadence) and its Scheduler (policy).
+struct Options {
+  PolicyKind policy = PolicyKind::least_loaded;
+  bool gossip = true;
+  sim::Duration gossip_interval = sim::msec(50);
+  sim::Duration gossip_phase = sim::kZero;  // first-tick offset (de-synchronizes senders)
+  sim::Duration stale_after = sim::msec(250);
+  sim::Duration evict_after = sim::msec(1000);
+  std::size_t locality_segments = 24;  // digest cap per report
+};
+
 class LoadTable {
  public:
-  struct Aging {
-    sim::Duration stale_after = sim::msec(250);
-    sim::Duration evict_after = sim::msec(1000);
-  };
-
   struct Entry {
     LoadReport report;
     sim::TimePoint received = sim::kZero;
@@ -42,8 +50,10 @@ class LoadTable {
 
   // Silent evictions are counted into `stale_evictions` (the owning node's
   // "<node>/sched/stale_evictions" registry counter).
-  LoadTable(Aging aging, std::uint64_t& stale_evictions)
-      : aging_(aging), stale_evictions_(stale_evictions) {}
+  LoadTable(const Options& options, std::uint64_t& stale_evictions)
+      : stale_after_(options.stale_after),
+        evict_after_(options.evict_after),
+        stale_evictions_(stale_evictions) {}
 
   // Fold in a report (received off the wire, or a local self-sample).
   void record(const LoadReport& report, sim::TimePoint now, bool self);
@@ -58,7 +68,7 @@ class LoadTable {
   std::size_t evictSilent(sim::TimePoint now);
 
   bool stale(const Entry& e, sim::TimePoint now) const {
-    return now - e.received > aging_.stale_after;
+    return now - e.received > stale_after_;
   }
 
   const Entry* find(net::NodeId node) const;
@@ -73,13 +83,13 @@ class LoadTable {
       std::uint64_t low_watermark, sim::TimePoint now,
       const std::function<bool(net::NodeId)>& eligible = {}) const;
   const std::map<net::NodeId, Entry>& entries() const noexcept { return entries_; }
-  const Aging& aging() const noexcept { return aging_; }
 
   // Node crash: the table is volatile kernel state.
   void clear() { entries_.clear(); }
 
  private:
-  Aging aging_;
+  sim::Duration stale_after_;
+  sim::Duration evict_after_;
   std::map<net::NodeId, Entry> entries_;
   std::uint64_t& stale_evictions_;
 };

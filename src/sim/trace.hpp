@@ -28,11 +28,9 @@ class TraceSink {
  public:
   void record(TimePoint at, std::string source, std::string category, std::string message);
 
-  void setEnabled(bool enabled) noexcept { enabled_ = enabled; }
-  bool enabled() const noexcept { return enabled_; }
-
-  // Keep the rolling digest but drop stored entries (benches trace millions
-  // of events; the digest alone is enough for determinism checks).
+  // By default only the rolling digest is kept (runs trace millions of
+  // events; the digest alone is enough for determinism checks). Callers
+  // that read entries() opt in before the events they want are recorded.
   void setKeepEntries(bool keep) noexcept { keep_entries_ = keep; }
 
   const std::vector<TraceEntry>& entries() const noexcept { return entries_; }
@@ -41,8 +39,7 @@ class TraceSink {
   void clear();
 
  private:
-  bool enabled_ = true;
-  bool keep_entries_ = true;
+  bool keep_entries_ = false;
   std::vector<TraceEntry> entries_;
   std::uint64_t digest_ = 0xcbf29ce484222325ULL;
   std::size_t count_ = 0;

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "clouds/cluster.hpp"
@@ -62,10 +63,11 @@ void auditExactlyOnce(Cluster& c, const Sysname& original, std::int64_t base) {
   for (int hop = 0; hop < migrate::kMaxForwardHops; ++hop) {
     const Bytes page = readHeaderPage(c, cur);
     ASSERT_FALSE(page.empty()) << "header page unreadable: " << cur.toString();
-    if (!migrate::isForwardPage(page)) break;
-    auto rec = migrate::ForwardRecord::decode(page);
-    ASSERT_TRUE(rec.ok()) << rec.error().toString();
-    cur = rec.value().new_header;
+    auto decoded = migrate::decodeHeaderPage(page);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().toString();
+    const auto* rec = std::get_if<migrate::ForwardRecord>(&decoded.value());
+    if (rec == nullptr) break;
+    cur = rec->new_header;
     aliases.push_back(cur);
   }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <random>
+#include <variant>
 #include <vector>
 
 #include "clouds/cluster.hpp"
@@ -146,10 +147,10 @@ TEST(ForwardRecord, CodecRoundTripAndPageImage) {
   ASSERT_TRUE(page_r.ok());
   const Bytes page = std::move(page_r).value();
   ASSERT_EQ(page.size(), ra::kPageSize);
-  EXPECT_TRUE(migrate::isForwardPage(page));
-  auto from_page = migrate::ForwardRecord::decode(page);
+  auto from_page = migrate::decodeHeaderPage(page);
   ASSERT_TRUE(from_page.ok());
-  EXPECT_EQ(from_page.value(), rec);
+  ASSERT_TRUE(std::holds_alternative<migrate::ForwardRecord>(from_page.value()));
+  EXPECT_EQ(std::get<migrate::ForwardRecord>(from_page.value()), rec);
 }
 
 TEST(ForwardRecord, EncodePageRefusesOversizedRecords) {
@@ -165,14 +166,18 @@ TEST(ForwardRecord, EncodePageRefusesOversizedRecords) {
 }
 
 TEST(ForwardRecord, DiscriminatorRejectsNonForwardPages) {
-  EXPECT_FALSE(migrate::isForwardPage(Bytes{}));
-  EXPECT_FALSE(migrate::isForwardPage(Bytes(3, std::byte{0xff})));
-  EXPECT_FALSE(migrate::isForwardPage(Bytes(ra::kPageSize, std::byte{0})));
+  auto isForward = [](const Bytes& page) {
+    auto decoded = migrate::decodeHeaderPage(page);
+    return decoded.ok() && std::holds_alternative<migrate::ForwardRecord>(decoded.value());
+  };
+  EXPECT_FALSE(isForward(Bytes{}));
+  EXPECT_FALSE(isForward(Bytes(3, std::byte{0xff})));
+  EXPECT_FALSE(isForward(Bytes(ra::kPageSize, std::byte{0})));
   // A descriptor-magic page is emphatically not a forward page.
   Bytes desc_like(ra::kPageSize, std::byte{0});
   const std::uint32_t desc_magic = 0xC10D0B1Eu;
   std::memcpy(desc_like.data(), &desc_magic, sizeof(desc_magic));
-  EXPECT_FALSE(migrate::isForwardPage(desc_like));
+  EXPECT_FALSE(isForward(desc_like));
 }
 
 TEST(ForwardRecord, RejectsMalformedWire) {
@@ -242,7 +247,8 @@ ClusterConfig twoCombined() {
   return cfg;
 }
 
-// Forward-stub chases traced by compute server `idx`'s object manager.
+// Forward-stub chases traced by compute server `idx`'s object manager
+// (the cluster must keep trace entries: setKeepEntries(true)).
 std::size_t forwardChases(Cluster& c, int idx) {
   const std::string node = c.computeNode(idx).name();
   const auto& entries = c.sim().tracer().entries();
@@ -414,6 +420,7 @@ TEST(Migration, SyncMigrationMovesTheObjectAndPreservesState) {
 
 TEST(Migration, RawOldSysnameChasesTheForwardStub) {
   Cluster c(twoCombined());
+  c.sim().tracer().setKeepEntries(true);
   obj::samples::registerAll(c.classes());
   const auto old_sys = c.create("counter", "C", 0, 0);
   ASSERT_TRUE(old_sys.ok());
@@ -445,6 +452,7 @@ TEST(Migration, CachedActivationChasesAfterMigrationWithoutLeakingScope) {
   cfg.combined_servers = 3;
   cfg.workstations = 0;
   Cluster c(cfg);
+  c.sim().tracer().setKeepEntries(true);
   obj::samples::registerAll(c.classes());
   const auto old_sys = c.create("counter", "C", /*data_idx=*/0, /*compute_idx=*/0);
   ASSERT_TRUE(old_sys.ok());

@@ -532,31 +532,30 @@ TEST(EventQueue, NegativeProcessDelaysAreRejected) {
 
 // ---- Pooled fiber stacks ----
 
-// A fiber entry that hands control straight back for good.
-struct Hop {
-  Fiber* from = nullptr;
-  Fiber* self = nullptr;
-};
-void exitAtOnce(void* arg) {
-  auto* hop = static_cast<Hop*>(arg);
-  hop->self->exitTo(*hop->from);
-}
-
 TEST(FiberStackDeathTest, RecycledStackKeepsItsGuard) {
 #if CLOUDS_SIM_ASAN
   GTEST_SKIP() << "ASan reports the guard fault itself";
 #else
+  // A fiber entry that hands control straight back for good.
+  struct Hop {
+    Fiber* from = nullptr;
+    Fiber* self = nullptr;
+  };
+  Fiber::Entry exitAtOnce = [](void* arg) {
+    auto* hop = static_cast<Hop*>(arg);
+    hop->self->exitTo(*hop->from);
+  };
   StackPool pool;
   Fiber host;
   Hop hop{&host, nullptr};
   const void* first_bottom = nullptr;
   {
-    Fiber first(pool, 64u << 10, &exitAtOnce, &hop);
+    Fiber first(pool, 64u << 10, exitAtOnce, &hop);
     hop.self = &first;
     host.switchTo(first);
     first_bottom = first.stackBottom();
   }  // the region goes back to the pool
-  Fiber second(pool, 64u << 10, &exitAtOnce, &hop);
+  Fiber second(pool, 64u << 10, exitAtOnce, &hop);
   ASSERT_EQ(second.stackBottom(), first_bottom);  // recycled, not mapped afresh
   volatile char* below = static_cast<char*>(const_cast<void*>(second.stackBottom())) - 1;
   EXPECT_DEATH(*below = 1, "");
