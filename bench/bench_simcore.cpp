@@ -22,17 +22,19 @@ namespace {
 using sim::Process;
 using sim::Simulation;
 
-// Each benchmark emits its universe's metrics snapshot on the first
-// iteration only (every iteration builds an identical universe). The
-// "_fibers" tags keep the lines comparable with runs from when a second
-// engine existed.
+// Each benchmark emits its universe's metrics snapshot once per process, on
+// its first iteration: every iteration builds an identical universe, and
+// google-benchmark calls each function a host-speed-dependent number of
+// times, so a per-call flag would repeat the line a varying number of
+// times. The "_fibers" tags keep the lines comparable with runs from when a
+// second engine existed.
 
 // Two processes alternately wake each other through semaphores: every
 // single event resumes a process, so this is the pure context-switch path.
 void BM_SimCore_PingPongWakeChain(benchmark::State& state) {
   constexpr int kRounds = 10000;
   std::size_t total_events = 0;
-  bool emitted = false;
+  static bool emitted = false;
   for (auto _ : state) {
     Simulation sim(42);
     sim::SimSemaphore ping(0);
@@ -62,7 +64,7 @@ void BM_SimCore_TimerStorm(benchmark::State& state) {
   constexpr int kProcesses = 200;
   constexpr int kTimersEach = 50;
   std::size_t total_events = 0;
-  bool emitted = false;
+  static bool emitted = false;
   for (auto _ : state) {
     Simulation sim(42);
     for (int p = 0; p < kProcesses; ++p) {
@@ -85,7 +87,7 @@ void BM_SimCore_TimerStorm(benchmark::State& state) {
 void BM_SimCore_FanOut10k(benchmark::State& state) {
   constexpr int kProcesses = 10000;
   std::size_t total_events = 0;
-  bool emitted = false;
+  static bool emitted = false;
   for (auto _ : state) {
     Simulation sim(42);
     for (int p = 0; p < kProcesses; ++p) {

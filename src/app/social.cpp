@@ -481,16 +481,12 @@ Result<SocialApp> SocialApp::build(Cluster& cluster, const Options& options) {
 }
 
 Result<std::int64_t> SocialApp::registerUser(int compute_idx) {
-  const auto shard = next_register_++ % static_cast<std::uint64_t>(options_.shards);
-  CLOUDS_TRY_ASSIGN(v, cluster_->callObject(user_sys_[shard], "register_user", {}, compute_idx));
+  CLOUDS_TRY_ASSIGN(v, cluster_->finish(startRegister(next_register_++, compute_idx)));
   return v.asInt();
 }
 
 Result<bool> SocialApp::follow(std::uint64_t follower, std::uint64_t followee, int compute_idx) {
-  CLOUDS_TRY_ASSIGN(v, cluster_->callObject(followShardSys(followee), "follow",
-                                      {Value{static_cast<std::int64_t>(follower)},
-                                       Value{static_cast<std::int64_t>(followee)}},
-                                      compute_idx));
+  CLOUDS_TRY_ASSIGN(v, cluster_->finish(startFollow(follower, followee, compute_idx)));
   return v.asBool();
 }
 
@@ -504,17 +500,13 @@ Result<bool> SocialApp::unfollow(std::uint64_t follower, std::uint64_t followee,
 
 Result<std::int64_t> SocialApp::post(std::uint64_t author, const std::string& content,
                                      int compute_idx) {
-  CLOUDS_TRY_ASSIGN(v, cluster_->callObject(userShardSys(author), "post",
-                                      {Value{static_cast<std::int64_t>(author)}, Value{content}},
-                                      compute_idx));
+  CLOUDS_TRY_ASSIGN(v, cluster_->finish(startPost(author, content, compute_idx)));
   return v.asInt();
 }
 
 Result<obj::ValueList> SocialApp::readTimeline(std::uint64_t user, std::int64_t limit,
                                                int compute_idx) {
-  CLOUDS_TRY_ASSIGN(v, cluster_->callObject(timelineShardSys(user), "read",
-                                      {Value{static_cast<std::int64_t>(user)}, Value{limit}},
-                                      compute_idx));
+  CLOUDS_TRY_ASSIGN(v, cluster_->finish(startRead(user, limit, compute_idx)));
   return v.asList();
 }
 

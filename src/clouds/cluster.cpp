@@ -185,52 +185,43 @@ Cluster::~Cluster() {
   sim_.shutdownProcesses();
 }
 
+Error Cluster::drainedError() {
+  return makeError(Errc::internal,
+                   "simulation drained before the thread completed (blocked forever?)");
+}
+
+Result<obj::Value> Cluster::finish(const std::shared_ptr<obj::Runtime::ThreadHandle>& handle) {
+  sim_.run();
+  if (!handle->done) return drainedError();
+  return handle->result;
+}
+
 Result<Sysname> Cluster::create(const std::string& class_name, const std::string& object_name,
                                 int data_idx, int compute_idx) {
-  Result<Sysname> result = makeError(Errc::internal, "create never ran");
-  obj::Runtime& rt = runtime(compute_idx);
-  rt.spawnThread("create:" + object_name, [&, this](obj::CloudsThread& t) {
-    result = rt.createObject(t, class_name, dataNode(data_idx).id(), object_name);
+  auto result = runOnThread(compute_idx, "create:" + object_name, [&](obj::CloudsThread& t) {
+    return runtime(compute_idx).createObject(t, class_name, dataNode(data_idx).id(), object_name);
   });
-  sim_.run();
   if (result.ok() && !object_name.empty()) created_objects_[object_name] = result.value();
   return result;
 }
 
 Result<obj::Value> Cluster::call(const std::string& object_name, const std::string& entry,
                                  obj::ValueList args, int compute_idx) {
-  auto handle = runtime(compute_idx)
-                    .startThreadByName(object_name, entry, std::move(args), workstationId(0), 0);
-  sim_.run();
-  if (!handle->done) {
-    return makeError(Errc::internal, "simulation drained before the thread completed "
-                                     "(blocked forever?)");
-  }
-  return handle->result;
+  return finish(start(object_name, entry, std::move(args), compute_idx));
 }
 
 Result<obj::Value> Cluster::callObject(const Sysname& object, const std::string& entry,
                                        obj::ValueList args, int compute_idx) {
-  auto handle =
-      runtime(compute_idx).startThread(object, entry, std::move(args), workstationId(0), 0);
-  sim_.run();
-  if (!handle->done) {
-    return makeError(Errc::internal, "simulation drained before the thread completed "
-                                     "(blocked forever?)");
-  }
-  return handle->result;
+  return finish(startObject(object, entry, std::move(args), compute_idx));
 }
 
 Result<Sysname> Cluster::migrateObjectSync(int compute_idx, const Sysname& object,
                                            int target_data_idx) {
-  Result<Sysname> result = makeError(Errc::internal, "migration never ran");
   migrate::Migrator& mig = migrator(compute_idx);
   const net::NodeId target = dataNode(target_data_idx).id();
-  runtime(compute_idx).spawnThread("migrate:" + object.toString(), [&](obj::CloudsThread& t) {
-    result = mig.migrateObject(*t.process, object, target);
+  return runOnThread(compute_idx, "migrate:" + object.toString(), [&](obj::CloudsThread& t) {
+    return mig.migrateObject(*t.process, object, target);
   });
-  sim_.run();
-  return result;
 }
 
 std::string Cluster::migrationEvents() const {

@@ -5,10 +5,10 @@
 // the first data server.
 //
 // This is the library's top-level public API. Host code registers classes,
-// creates objects, and invokes entry points; each synchronous helper spawns
-// a Clouds thread inside the simulation and drains the event loop. For
-// concurrent scenarios (several threads in flight), use start() handles and
-// run() directly.
+// creates objects, and invokes entry points; each synchronous helper starts
+// a Clouds thread inside the simulation and drains the event loop through
+// finish() or runOnThread(). For concurrent scenarios (several threads in
+// flight), use start() handles and run() directly.
 //
 // Index spaces: compute indices cover the diskless compute servers first,
 // then the combined machines; data indices cover the pure data servers
@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "clouds/runtime.hpp"
@@ -121,6 +122,31 @@ class Cluster {
   // Drain the event loop (returns executed event count).
   std::size_t run() { return sim_.run(); }
 
+  // Drain the event loop and return a started thread's result;
+  // Errc::internal when the drain ends before the thread completes.
+  Result<obj::Value> finish(const std::shared_ptr<obj::Runtime::ThreadHandle>& handle);
+
+  // Run `body(CloudsThread&)` on a fresh Clouds thread named `name` on
+  // compute server `compute_idx`, drain the event loop, and return what the
+  // body returned (a Result<T>); Errc::internal when the drain ends before
+  // the body returns. The body is copied into the thread and the result
+  // slot is shared, so a body still blocked when the drain ends is unwound
+  // safely at teardown; what it captures by reference must not be used if
+  // it is woken later.
+  template <typename Body>
+  std::invoke_result_t<Body&, obj::CloudsThread&> runOnThread(int compute_idx,
+                                                              const std::string& name,
+                                                              Body body) {
+    using R = std::invoke_result_t<Body&, obj::CloudsThread&>;
+    auto out = std::make_shared<std::optional<R>>();
+    runtime(compute_idx).spawnThread(name, [out, body](obj::CloudsThread& t) mutable {
+      out->emplace(body(t));
+    });
+    sim_.run();
+    if (!out->has_value()) return drainedError();
+    return std::move(**out);
+  }
+
   // ---- Topology ----
   int computeCount() const noexcept { return static_cast<int>(compute_view_.size()); }
   int dataCount() const noexcept { return static_cast<int>(data_view_.size()); }
@@ -211,6 +237,7 @@ class Cluster {
     std::unique_ptr<sched::Agent> agent;  // gossip listener + chooser
   };
 
+  static Error drainedError();
   Machine makeMachine(net::NodeId id, const std::string& name, bool data_role,
                       bool compute_role);
   void finishComputeRole(Machine& m);

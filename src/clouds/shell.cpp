@@ -52,20 +52,17 @@ obj::Value parseArg(const std::string& token) {
 
 }  // namespace
 
-Shell::Shell(Cluster& cluster, int compute_idx, int ws_idx, sysobj::WindowId window)
-    : cluster_(cluster), compute_idx_(compute_idx), ws_idx_(ws_idx), window_(window) {}
-
 void Shell::say(const std::string& text) {
   // The shell is a Unix-side program on the workstation: its own output
   // reaches the terminal through the same I/O manager threads use.
   cluster_.sim().trace("shell", "out", text);
-  cluster_.runtime(compute_idx_).spawnThread(
+  cluster_.runtime(0).spawnThread(
       "shell-echo",
       [this, text](obj::CloudsThread& t) {
-        sysobj::IoClient io(cluster_.computeNode(compute_idx_));
-        (void)io.write(*t.process, cluster_.workstationId(ws_idx_), window_, text);
+        sysobj::IoClient io(cluster_.computeNode(0));
+        (void)io.write(*t.process, cluster_.workstationId(0), 0, text);
       },
-      cluster_.workstationId(ws_idx_), window_);
+      cluster_.workstationId(0), 0);
   cluster_.run();
 }
 
@@ -97,55 +94,30 @@ bool Shell::execute(const std::string& line) {
       return false;
     }
     const int data_idx = tokens.size() > 3 ? std::stoi(tokens[3]) : 0;
-    auto r = cluster_.create(tokens[1], tokens[2], data_idx, compute_idx_);
+    auto r = cluster_.create(tokens[1], tokens[2], data_idx);
     say(r.ok() ? "created " + tokens[2] + " = " + r.value().toString()
                : "error: " + r.error().toString());
     return r.ok();
   }
-  if (cmd == "invoke") {
-    if (tokens.size() < 2) {
-      say("usage: invoke <name>.<entry> [args...]");
-      return false;
-    }
-    const auto dot = tokens[1].find('.');
+  if (cmd == "invoke" || cmd == "submit") {
+    const auto dot = tokens.size() < 2 ? std::string::npos : tokens[1].find('.');
     if (dot == std::string::npos) {
-      say("usage: invoke <name>.<entry> [args...]");
+      say("usage: " + cmd + " <name>.<entry> [args...]");
       return false;
     }
     const std::string object = tokens[1].substr(0, dot);
     const std::string entry = tokens[1].substr(dot + 1);
     obj::ValueList args;
     for (std::size_t i = 2; i < tokens.size(); ++i) args.push_back(parseArg(tokens[i]));
-    auto r = cluster_.call(object, entry, std::move(args), compute_idx_);
-    say(r.ok() ? object + "." + entry + " -> " + r.value().toString()
+    // submit: the compute server is picked by the scheduling subsystem
+    // (gossip load view + configured policy) instead of server 0.
+    const bool submit = cmd == "submit";
+    const int idx = submit ? cluster_.scheduleComputeServer() : 0;
+    auto r = cluster_.finish(cluster_.start(object, entry, std::move(args), idx));
+    const std::string where = submit ? " (on " + cluster_.computeNode(idx).name() + ")" : "";
+    say(r.ok() ? object + "." + entry + " -> " + r.value().toString() + where
                : "error: " + r.error().toString());
     return r.ok();
-  }
-  if (cmd == "submit") {
-    // Like invoke, but the compute server is picked by the scheduling
-    // subsystem (gossip load view + configured policy) instead of being
-    // this shell's pinned server.
-    if (tokens.size() < 2 || tokens[1].find('.') == std::string::npos) {
-      say("usage: submit <name>.<entry> [args...]");
-      return false;
-    }
-    const auto dot = tokens[1].find('.');
-    const std::string object = tokens[1].substr(0, dot);
-    const std::string entry = tokens[1].substr(dot + 1);
-    obj::ValueList args;
-    for (std::size_t i = 2; i < tokens.size(); ++i) args.push_back(parseArg(tokens[i]));
-    const int idx = cluster_.scheduleComputeServer();
-    auto handle = cluster_.start(object, entry, std::move(args), idx);
-    cluster_.run();
-    if (!handle->done) {
-      say("error: thread did not complete");
-      return false;
-    }
-    const std::string where = " (on " + cluster_.computeNode(idx).name() + ")";
-    say(handle->result.ok()
-            ? object + "." + entry + " -> " + handle->result.value().toString() + where
-            : "error: " + handle->result.error().toString());
-    return handle->result.ok();
   }
   say("unknown command: " + cmd + " (try 'help')");
   return false;

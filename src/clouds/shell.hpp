@@ -27,9 +27,9 @@ namespace clouds {
 
 class Shell {
  public:
-  // Commands execute threads on compute server `compute_idx`, controlled by
-  // `window` of workstation `ws_idx`.
-  Shell(Cluster& cluster, int compute_idx = 0, int ws_idx = 0, sysobj::WindowId window = 0);
+  // `invoke` and `create` run on compute server 0; output goes to window 0
+  // of workstation 0.
+  explicit Shell(Cluster& cluster) : cluster_(cluster) {}
 
   // Execute one command line; output goes to the terminal window.
   // Returns false only for unknown commands / parse errors (also reported
@@ -43,9 +43,6 @@ class Shell {
   void say(const std::string& text);
 
   Cluster& cluster_;
-  int compute_idx_;
-  int ws_idx_;
-  sysobj::WindowId window_;
 };
 
 }  // namespace clouds

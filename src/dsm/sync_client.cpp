@@ -6,18 +6,15 @@ namespace {
 // Lock and semaphore waits block server-side, so the per-attempt timeout
 // must exceed the server's own wait bound. Retransmitted requests are
 // deduplicated by RaTP's reply cache (the handler keeps waiting; it is
-// never re-executed), so retries only guard against lost frames.
-constexpr sim::Duration kLockCallTimeout = sim::msec(600);
-constexpr sim::Duration kSemCallTimeout = sim::sec(2);
-constexpr int kSemRetries = 45;  // ~90 s total patience for a P()
+// never re-executed), so retries only guard against lost frames. Each
+// patience is {per-attempt timeout, retries}.
+constexpr net::RatpOptions kLockCall{sim::msec(600), 3};
+constexpr net::RatpOptions kSemCall{sim::sec(2), 45};  // ~90 s total patience for a P()
 }  // namespace
 
 Result<Bytes> SyncClient::call(sim::Process& self, net::NodeId server, const Bytes& request,
-                               sim::Duration timeout) {
-  net::RatpOptions opts;
-  opts.timeout = timeout;
-  opts.max_retries = timeout == kSemCallTimeout ? kSemRetries : 3;
-  return node_.ratp().transact(self, server, net::kPortLock, request, opts);
+                               const net::RatpOptions& patience) {
+  return node_.ratp().transact(self, server, net::kPortLock, request, patience);
 }
 
 Result<void> SyncClient::lock(sim::Process& self, const Sysname& segment, LockMode mode,
@@ -28,7 +25,7 @@ Result<void> SyncClient::lock(sim::Process& self, const Sysname& segment, LockMo
   e.sysname(segment);
   e.u8(static_cast<std::uint8_t>(mode));
   e.u64(owner);
-  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCallTimeout));
+  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCall));
   Decoder d(reply);
   return net::decodeStatus(d, "lock failed remotely");
 }
@@ -37,7 +34,7 @@ Result<void> SyncClient::unlockAll(sim::Process& self, net::NodeId server, std::
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::unlock_all));
   e.u64(owner);
-  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCallTimeout));
+  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCall));
   Decoder d(reply);
   return net::decodeStatus(d, "unlock_all failed remotely");
 }
@@ -47,7 +44,7 @@ Result<std::uint64_t> SyncClient::semCreate(sim::Process& self, net::NodeId serv
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::sem_create));
   e.i64(initial);
-  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCallTimeout));
+  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCall));
   Decoder d(reply);
   CLOUDS_TRY(net::decodeStatus(d, "sem_create failed remotely"));
   return d.u64();
@@ -58,7 +55,7 @@ Result<void> SyncClient::semP(sim::Process& self, std::uint64_t sem) {
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::sem_p));
   e.u64(sem);
-  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kSemCallTimeout));
+  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kSemCall));
   Decoder d(reply);
   return net::decodeStatus(d, "sem_p failed remotely");
 }
@@ -68,7 +65,7 @@ Result<void> SyncClient::semV(sim::Process& self, std::uint64_t sem) {
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::sem_v));
   e.u64(sem);
-  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kSemCallTimeout));
+  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kSemCall));
   Decoder d(reply);
   return net::decodeStatus(d, "sem_v failed remotely");
 }

@@ -37,7 +37,7 @@ class SyncClient {
 
  private:
   Result<Bytes> call(sim::Process& self, net::NodeId server, const Bytes& request,
-                     sim::Duration timeout);
+                     const net::RatpOptions& patience);
 
   ra::Node& node_;
 };

@@ -27,40 +27,19 @@ Migrator::Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTabl
     if (state_hook_) state_hook_(s);
   });
   node_.onCrashHook([this] {
-    // The node layer kills the loop IsiBa (and any in-flight migrateObject
+    // The node layer kills the daemon (and any in-flight migrateObject
     // thread) by RAII unwinding; protocol state is volatile. The durable
     // outcome of an interrupted handoff is decided solely by the source
     // store's header page + 2PC log, not by anything we hold here.
-    loop_ = nullptr;
-    ++epoch_;
     fsm_.forceIdle();
     event("crash");
   });
-  node_.onRestartHook([this] { start(); });
-  start();
-}
-
-void Migrator::start() {
   if (!options_.enabled) return;
-  loop_ = &node_.spawnIsiBa("migrate.daemon", [this](sim::Process& self) { loop(self); });
-}
-
-void Migrator::loop(sim::Process& self) {
-  armTick(options_.phase > sim::kZero ? options_.phase : options_.interval);
-  for (;;) {
-    self.block();  // woken by the daemon tick
-    const bool attempted = tick(self);
-    armTick(attempted ? options_.cooldown : options_.interval);
-  }
-}
-
-void Migrator::armTick(sim::Duration delay) {
-  const std::uint64_t epoch = epoch_;
-  sim::Process* loop = loop_;
-  node_.simulation().scheduleDaemon(delay, [this, epoch, loop] {
-    // A tick armed before a crash must not wake the post-restart loop.
-    if (epoch == epoch_ && loop != nullptr && loop == loop_) loop->wake();
-  });
+  daemon_.emplace(node_, "migrate.daemon",
+                  options_.phase > sim::kZero ? options_.phase : options_.interval,
+                  [this](sim::Process& self) {
+                    return tick(self) ? options_.cooldown : options_.interval;
+                  });
 }
 
 bool Migrator::tick(sim::Process& self) {

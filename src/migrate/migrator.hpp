@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "dsm/client.hpp"
 #include "migrate/protocol.hpp"
 #include "migrate/state.hpp"
+#include "ra/daemon.hpp"
 #include "ra/node.hpp"
 #include "sched/load_table.hpp"
 
@@ -87,9 +89,6 @@ class Migrator {
   void onStateChange(std::function<void(State)> fn) { state_hook_ = std::move(fn); }
 
  private:
-  void start();
-  void loop(sim::Process& self);
-  void armTick(sim::Duration delay);
   bool tick(sim::Process& self);  // true if a migration was attempted
   bool rebalanceTick(sim::Process& self, const sched::LoadTable::Entry& me,
                      sim::TimePoint now);
@@ -105,9 +104,7 @@ class Migrator {
   MigrationFsm fsm_;
   std::vector<std::string> events_;
   std::function<void(State)> state_hook_;
-  sim::Process* loop_ = nullptr;
   std::map<net::NodeId, sim::TimePoint> last_shipped_;  // target -> commit time
-  std::uint64_t epoch_ = 0;  // bumped on crash: stale ticks must not wake a new loop
   std::uint64_t seq_ = 0;    // migration txid sequence (high bit set: disjoint
                              // from TxnRuntime's txids on the same node)
   // Registry handles ("<node>/migrate/..."), resolved at construction.
@@ -116,6 +113,7 @@ class Migrator {
   std::uint64_t* m_aborted_;
   std::uint64_t* m_in_doubt_;
   std::uint64_t* m_forwards_;
+  std::optional<ra::Daemon> daemon_;  // the opt-in migration daemon
 };
 
 }  // namespace clouds::migrate

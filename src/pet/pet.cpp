@@ -23,45 +23,27 @@ Result<ReplicatedObject> PetManager::createReplicated(const std::string& class_n
     return makeError(Errc::bad_argument,
                      "replication degree must be in [1, data server count]");
   }
-  Result<ReplicatedObject> out = makeError(Errc::internal, "replication never ran");
-  obj::Runtime& rt = cluster_.runtime(0);
-  rt.spawnThread("pet-create:" + name, [&, this](obj::CloudsThread& t) {
+  return cluster_.runOnThread(0, "pet-create:" + name,
+                              [&, this](obj::CloudsThread& t) -> Result<ReplicatedObject> {
+    obj::Runtime& rt = cluster_.runtime(0);
     ReplicatedObject ro;
     ro.name = name;
     for (int r = 0; r < replicas; ++r) {
       // One replica per data server, each a full object with identical
       // (deterministic) constructor state.
-      auto created = rt.createObject(t, class_name, cluster_.dataNode(r).id(), "");
-      if (!created.ok()) {
-        out = created.error();
-        return;
-      }
-      ro.replicas.push_back(created.value());
+      CLOUDS_TRY_ASSIGN(created, rt.createObject(t, class_name, cluster_.dataNode(r).id(), ""));
+      ro.replicas.push_back(created);
     }
     // Version vector lives in its own segment on data server 0.
-    auto meta = cluster_.dsmClient(0).createSegment(*t.process, cluster_.dataNode(0).id(),
-                                                    ra::kPageSize);
-    if (!meta.ok()) {
-      out = meta.error();
-      return;
-    }
-    ro.meta = meta.value();
+    CLOUDS_TRY_ASSIGN(meta, cluster_.dsmClient(0).createSegment(
+                                *t.process, cluster_.dataNode(0).id(), ra::kPageSize));
+    ro.meta = meta;
     VersionVector vv;
     vv.versions.assign(static_cast<std::size_t>(replicas), 0);
-    auto wrote = writeVersions(*t.process, rt, ro, vv);
-    if (!wrote.ok()) {
-      out = wrote.error();
-      return;
-    }
-    auto bound = rt.names().bind(*t.process, name, ro.replicas);
-    if (!bound.ok()) {
-      out = bound.error();
-      return;
-    }
-    out = ro;
+    CLOUDS_TRY(writeVersions(*t.process, rt, ro, vv));
+    CLOUDS_TRY(rt.names().bind(*t.process, name, ro.replicas));
+    return ro;
   });
-  cluster_.run();
-  return out;
 }
 
 Result<PetManager::VersionVector> PetManager::readVersions(sim::Process& self, obj::Runtime&,
@@ -137,10 +119,9 @@ int PetManager::propagate(sim::Process& self, obj::Runtime&, const ReplicatedObj
 Result<ResilientResult> PetManager::runResilient(const ReplicatedObject& object,
                                                  const std::string& entry, obj::ValueList args,
                                                  int n_threads) {
-  Result<ResilientResult> out = makeError(Errc::internal, "resilient run never finished");
-  obj::Runtime& coordinator_rt = cluster_.runtime(0);
-
-  coordinator_rt.spawnThread("pet-coordinator", [&, this](obj::CloudsThread& coord) {
+  return cluster_.runOnThread(0, "pet-coordinator",
+                              [&, this](obj::CloudsThread& coord) -> Result<ResilientResult> {
+    obj::Runtime& coordinator_rt = cluster_.runtime(0);
     sim::Process& self = *coord.process;
     ResilientResult rr;
     ++*m_runs_;
@@ -150,16 +131,10 @@ Result<ResilientResult> PetManager::runResilient(const ReplicatedObject& object,
     for (int i = 0; i < cluster_.computeCount(); ++i) {
       if (cluster_.computeNode(i).alive()) compute_alive.push_back(i);
     }
-    if (compute_alive.empty()) {
-      out = makeError(Errc::unreachable, "no live compute servers");
-      return;
-    }
+    if (compute_alive.empty()) return makeError(Errc::unreachable, "no live compute servers");
 
     auto vv = readVersions(self, coordinator_rt, object);
-    if (!vv.ok()) {
-      out = vv.error();
-      return;
-    }
+    if (!vv.ok()) return vv.error();
 
     // Replica preference: freshest versions first (stale or dead replicas
     // would compute on old state).
@@ -245,63 +220,42 @@ Result<ResilientResult> PetManager::runResilient(const ReplicatedObject& object,
         rr.replicas_written = written;
         rr.terminating_thread = static_cast<int>(i);
         *m_replicas_written_ += static_cast<std::uint64_t>(written);
-        out = rr;
-        return;
+        return rr;
       }
     }
     if (rr.threads_completed == 0) {
-      out = makeError(Errc::aborted, "no PET completed (all threads failed or crashed)");
-    } else {
-      out = makeError(Errc::no_quorum, "completed threads could not reach a write quorum");
+      return makeError(Errc::aborted, "no PET completed (all threads failed or crashed)");
     }
+    return makeError(Errc::no_quorum, "completed threads could not reach a write quorum");
   });
-  cluster_.run();
-  return out;
 }
 
 Result<std::vector<std::uint64_t>> PetManager::replicaVersions(const ReplicatedObject& object) {
-  Result<std::vector<std::uint64_t>> out = makeError(Errc::internal, "version read never ran");
-  obj::Runtime& rt = cluster_.runtime(0);
-  rt.spawnThread("pet-versions", [&, this](obj::CloudsThread& t) {
-    auto vv = readVersions(*t.process, rt, object);
-    if (!vv.ok()) {
-      out = vv.error();
-      return;
-    }
-    out = vv.value().versions;
+  using Versions = Result<std::vector<std::uint64_t>>;
+  return cluster_.runOnThread(0, "pet-versions", [&, this](obj::CloudsThread& t) -> Versions {
+    CLOUDS_TRY_ASSIGN(vv, readVersions(*t.process, cluster_.runtime(0), object));
+    return vv.versions;
   });
-  cluster_.run();
-  return out;
 }
 
 Result<obj::Value> PetManager::readFreshest(const ReplicatedObject& object,
                                             const std::string& entry, obj::ValueList args) {
-  Result<obj::Value> out = makeError(Errc::internal, "read never ran");
-  obj::Runtime& rt = cluster_.runtime(0);
-  rt.spawnThread("pet-read", [&, this](obj::CloudsThread& t) {
-    auto vv = readVersions(*t.process, rt, object);
-    if (!vv.ok()) {
-      out = vv.error();
-      return;
-    }
+  return cluster_.runOnThread(0, "pet-read",
+                              [&, this](obj::CloudsThread& t) -> Result<obj::Value> {
+    obj::Runtime& rt = cluster_.runtime(0);
+    CLOUDS_TRY_ASSIGN(vv, readVersions(*t.process, rt, object));
     // Try replicas in version order, freshest first.
     std::vector<int> order;
     for (std::size_t r = 0; r < object.replicas.size(); ++r) order.push_back(static_cast<int>(r));
     std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return vv.value().versions[static_cast<std::size_t>(a)] >
-             vv.value().versions[static_cast<std::size_t>(b)];
+      return vv.versions[static_cast<std::size_t>(a)] > vv.versions[static_cast<std::size_t>(b)];
     });
     for (int r : order) {
       auto v = rt.invoke(t, object.replicas[static_cast<std::size_t>(r)], entry, args);
-      if (v.ok()) {
-        out = v;
-        return;
-      }
+      if (v.ok()) return v;
     }
-    out = makeError(Errc::unreachable, "no replica reachable");
+    return makeError(Errc::unreachable, "no replica reachable");
   });
-  cluster_.run();
-  return out;
 }
 
 }  // namespace clouds::pet

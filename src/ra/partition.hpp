@@ -6,10 +6,11 @@
 //  to the partitions. The partitions themselves are implemented as system
 //  objects."
 //
-// Two system objects implement it: store::LocalPartition (segments on this
-// node's own disk) and dsm::DsmClientPartition (segments homed on remote
-// data servers, accessed through the DSM coherence protocol). The MMU is
-// the only caller.
+// Two system objects implement it: ra::AnonPartition (volatile zero-fill
+// segments local to this node: thread stacks, volatile heaps, per-thread
+// regions) and dsm::DsmClientPartition (segments homed on data servers,
+// accessed through the DSM coherence protocol). The MMU is the only
+// caller.
 #pragma once
 
 #include "common/error.hpp"

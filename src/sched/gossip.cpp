@@ -11,40 +11,19 @@ GossipAgent::GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor,
   node_.nic().setHandler(net::kProtoSched,
                          [this](sim::Process&, const net::Frame& f) { onFrame(f); });
   node_.onCrashHook([this] {
-    // The node layer kills the loop IsiBa; drop our reference and invalidate
-    // any tick already in flight. Load knowledge is volatile kernel state.
-    loop_ = nullptr;
-    ++epoch_;
+    // Load knowledge is volatile kernel state.
     table_.clear();
     if (monitor_ != nullptr) monitor_->reset();
   });
-  node_.onRestartHook([this] { start(); });
-  start();
-}
-
-void GossipAgent::start() {
   if (!options_.gossip || monitor_ == nullptr) return;  // listeners never tick
-  loop_ = &node_.spawnIsiBa("sched.gossip", [this](sim::Process& self) { loop(self); });
-}
-
-void GossipAgent::loop(sim::Process& self) {
-  armTick(options_.gossip_phase > sim::kZero ? options_.gossip_phase
-                                              : options_.gossip_interval);
-  for (;;) {
-    self.block();  // woken by the daemon tick
-    broadcast(self);
-    table_.evictSilent(node_.simulation().now());
-    armTick(options_.gossip_interval);
-  }
-}
-
-void GossipAgent::armTick(sim::Duration delay) {
-  const std::uint64_t epoch = epoch_;
-  sim::Process* loop = loop_;
-  node_.simulation().scheduleDaemon(delay, [this, epoch, loop] {
-    // A tick armed before a crash must not wake the post-restart loop.
-    if (epoch == epoch_ && loop != nullptr && loop == loop_) loop->wake();
-  });
+  daemon_.emplace(node_, "sched.gossip",
+                  options_.gossip_phase > sim::kZero ? options_.gossip_phase
+                                                     : options_.gossip_interval,
+                  [this](sim::Process& self) {
+                    broadcast(self);
+                    table_.evictSilent(node_.simulation().now());
+                    return options_.gossip_interval;
+                  });
 }
 
 void GossipAgent::broadcast(sim::Process& self) {

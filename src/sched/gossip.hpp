@@ -8,14 +8,16 @@
 // moves as messages: a partitioned or crashed server simply stops being
 // heard, its entries age out, and schedulers degrade to their stale view.
 //
-// The tick itself is a *daemon* event (sim::Simulation::scheduleDaemon), so
-// periodic gossip does not keep "drain the cluster" run() loops alive. The
-// loop process dies with the node (it is an IsiBa); a restart hook respawns
-// it, and the crash hook clears the volatile LoadTable.
+// The loop is an ra::Daemon: its ticks are daemon events, so periodic
+// gossip does not keep "drain the cluster" run() loops alive, and it dies
+// with the node and is respawned on restart. The crash hook also clears the
+// volatile LoadTable.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
+#include "ra/daemon.hpp"
 #include "ra/node.hpp"
 #include "sched/load_table.hpp"
 #include "sched/monitor.hpp"
@@ -30,9 +32,6 @@ class GossipAgent {
   GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor, const Options& options);
 
  private:
-  void start();
-  void loop(sim::Process& self);
-  void armTick(sim::Duration delay);
   void broadcast(sim::Process& self);
   void onFrame(const net::Frame& frame);
 
@@ -40,11 +39,10 @@ class GossipAgent {
   LoadTable& table_;
   LoadMonitor* monitor_;
   Options options_;
-  sim::Process* loop_ = nullptr;
-  std::uint64_t epoch_ = 0;  // bumped on crash: stale ticks must not wake a new loop
-  std::uint64_t seq_ = 0;    // monotone across restarts
+  std::uint64_t seq_ = 0;  // monotone across restarts
   std::uint64_t* m_sent_;
   std::uint64_t* m_received_;
+  std::optional<ra::Daemon> daemon_;  // broadcasting participants only
 };
 
 }  // namespace clouds::sched
